@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use decisive_federation::DriverRegistry;
 use serde::{Deserialize, Serialize};
 
-use crate::case::{AssuranceCase, GsnKind, NodeRef};
+use crate::case::{AssuranceCase, EvidenceQuery, GsnKind, NodeRef};
 
 /// The evaluation status of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,16 +94,7 @@ pub fn evaluate(case: &AssuranceCase, registry: &DriverRegistry) -> Evaluation {
             GsnKind::Context => Status::Satisfied,
             GsnKind::Solution => match &n.query {
                 None => Status::Undeveloped,
-                Some(q) => match registry.extract(&q.model_kind, &q.location, &q.expression) {
-                    Ok(result) => {
-                        if result.truthy() {
-                            Status::Satisfied
-                        } else {
-                            Status::Unsatisfied
-                        }
-                    }
-                    Err(e) => Status::Error(e.to_string()),
-                },
+                Some(q) => run_query(q, registry),
             },
             GsnKind::Goal | GsnKind::Strategy => {
                 if n.supported_by.is_empty() {
@@ -132,10 +123,25 @@ pub fn evaluate(case: &AssuranceCase, registry: &DriverRegistry) -> Evaluation {
     Evaluation { statuses, root: case.root() }
 }
 
+/// Runs one evidence query, inside an `eql:query` span when the
+/// thread-current telemetry handle is recording.
+fn run_query(query: &EvidenceQuery, registry: &DriverRegistry) -> Status {
+    let run = || match registry.extract(&query.model_kind, &query.location, &query.expression) {
+        Ok(result) if result.truthy() => Status::Satisfied,
+        Ok(_) => Status::Unsatisfied,
+        Err(e) => Status::Error(e.to_string()),
+    };
+    decisive_obs::with_current(|telemetry| {
+        let mut span = telemetry.span("eql:query", "eql");
+        span.arg("location", query.location.as_str());
+        run()
+    })
+    .unwrap_or_else(run)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::EvidenceQuery;
     use decisive_federation::Value;
 
     fn registry_with(key: &str, model: Value) -> DriverRegistry {
@@ -217,6 +223,22 @@ mod tests {
         let eval = evaluate(&case, &registry);
         assert_eq!(*eval.status(c1), Status::Satisfied);
         assert!(eval.is_satisfied());
+    }
+
+    #[test]
+    fn each_evidence_query_runs_in_its_own_span() {
+        let registry = registry_with("m", Value::list([Value::Int(1)]));
+        let (telemetry, sink) = decisive_obs::Telemetry::recording();
+        {
+            let _current = decisive_obs::set_current(telemetry);
+            assert!(evaluate(&simple_case("rows.size() = 1"), &registry).is_satisfied());
+        }
+        let report = sink.drain();
+        assert_eq!(report.span_count("eql:query"), 1);
+        let span = report.spans.iter().find(|s| s.name == "eql:query").unwrap();
+        assert_eq!(span.args, vec![("location".to_owned(), "m".to_owned())]);
+        // Without a recording handle the same case evaluates identically.
+        assert!(evaluate(&simple_case("rows.size() = 1"), &registry).is_satisfied());
     }
 
     /// The paper's §V-C loop: the FMEDA artefact changes, the same case

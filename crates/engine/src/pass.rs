@@ -743,8 +743,10 @@ fn quantify_subtree(
     match decisive_fta::build_fault_tree(model, container, max_paths) {
         Ok(synthesised) => match synthesised.tree.try_quantify(mission_hours) {
             Ok(quant) => {
-                let single_points = synthesised
-                    .tree
+                decisive_obs::with_current(|telemetry| {
+                    telemetry.count("fta.cut_sets", quant.minimal_cut_sets.len() as u64);
+                });
+                let single_points = quant
                     .single_points()
                     .into_iter()
                     .map(|id| synthesised.tree.node(id).name().to_owned())
@@ -755,7 +757,7 @@ fn quantify_subtree(
                         analysable: true,
                         top_probability: quant.top_probability,
                         single_points,
-                        minimal_cut_sets: synthesised.tree.cut_sets_by_name(),
+                        minimal_cut_sets: synthesised.tree.cut_set_names(&quant.minimal_cut_sets),
                     },
                     None,
                 )

@@ -54,6 +54,19 @@ pub trait ModelDriver: Send + Sync {
             }
         }
     }
+
+    /// Loads the model at `location` and evaluates the EQL `query` against
+    /// it. The default evaluates against a freshly loaded copy; a driver
+    /// that already holds its models in memory overrides this to evaluate
+    /// in place.
+    ///
+    /// # Errors
+    ///
+    /// Load errors first, then query parse and evaluation errors.
+    fn extract(&self, location: &str, query: &str) -> Result<Value> {
+        let model = self.load(location)?;
+        crate::eql::eval_str(query, &model)
+    }
 }
 
 /// Reads a driver's backing file, degrading to an unresolved-reference
@@ -173,6 +186,13 @@ impl MemoryDriver {
     pub fn unregister(&self, key: &str) -> Option<Value> {
         self.models.write().remove(key)
     }
+
+    fn missing(location: &str) -> FederationError {
+        FederationError::Load {
+            location: location.to_owned(),
+            message: "no in-memory model registered under this key".to_owned(),
+        }
+    }
 }
 
 impl ModelDriver for MemoryDriver {
@@ -181,10 +201,15 @@ impl ModelDriver for MemoryDriver {
     }
 
     fn load(&self, location: &str) -> Result<Value> {
-        self.models.read().get(location).cloned().ok_or_else(|| FederationError::Load {
-            location: location.to_owned(),
-            message: "no in-memory model registered under this key".to_owned(),
-        })
+        self.models.read().get(location).cloned().ok_or_else(|| MemoryDriver::missing(location))
+    }
+
+    /// Evaluates against the registered model under the read lock, without
+    /// copying it.
+    fn extract(&self, location: &str, query: &str) -> Result<Value> {
+        let models = self.models.read();
+        let model = models.get(location).ok_or_else(|| MemoryDriver::missing(location))?;
+        crate::eql::eval_str(query, model)
     }
 }
 
@@ -239,13 +264,15 @@ impl DriverRegistry {
     /// Returns [`FederationError::UnknownDriver`] when no driver serves
     /// `kind`; otherwise propagates the driver's errors.
     pub fn load(&self, kind: &str, location: &str) -> Result<Value> {
-        let driver = self
-            .drivers
+        self.driver(kind)?.load(location)
+    }
+
+    fn driver(&self, kind: &str) -> Result<Arc<dyn ModelDriver>> {
+        self.drivers
             .read()
             .get(kind)
             .cloned()
-            .ok_or_else(|| FederationError::UnknownDriver { kind: kind.to_owned() })?;
-        driver.load(location)
+            .ok_or_else(|| FederationError::UnknownDriver { kind: kind.to_owned() })
     }
 
     /// Loads the model at `location` under `policy` — the degraded-mode
@@ -285,8 +312,7 @@ impl DriverRegistry {
     ///
     /// Propagates load, parse and evaluation errors.
     pub fn extract(&self, kind: &str, location: &str, query: &str) -> Result<Value> {
-        let model = self.load(kind, location)?;
-        crate::eql::eval_str(query, &model)
+        self.driver(kind)?.extract(location, query)
     }
 
     /// The kinds currently served, sorted.

@@ -26,8 +26,11 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{FederationError, Result};
 use crate::value::Value;
@@ -587,8 +590,31 @@ impl Parser {
 // Evaluator
 // ---------------------------------------------------------------------------
 
-struct Scope {
-    vars: HashMap<String, Value>,
+/// Variable bindings, borrowed rather than copied: the query's root
+/// bindings, then one frame per enclosing lambda. A lookup walks from the
+/// innermost frame outwards, so an inner lambda parameter shadows an
+/// outer binding of the same name.
+enum Scope<'a> {
+    Root(&'a [(&'a str, &'a Value)]),
+    Lambda { param: &'a str, value: &'a Value, parent: &'a Scope<'a> },
+}
+
+impl<'a> Scope<'a> {
+    fn lookup(&self, name: &str) -> Option<&'a Value> {
+        match self {
+            // A later root binding overrides an earlier one of the same name.
+            Scope::Root(bindings) => {
+                bindings.iter().rev().find(|(key, _)| *key == name).map(|(_, value)| *value)
+            }
+            Scope::Lambda { param, value, parent } => {
+                if *param == name {
+                    Some(*value)
+                } else {
+                    parent.lookup(name)
+                }
+            }
+        }
+    }
 }
 
 fn num_pair(a: &Value, b: &Value) -> Option<(f64, f64)> {
@@ -607,30 +633,115 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn eval(expr: &Expr, scope: &mut Scope) -> Result<Value> {
+/// A hash that any two values related by [`values_equal`] share. Numbers
+/// hash by their `f64` value at every depth, with `-0.0` folded onto
+/// `0.0`, so `1` and `1.0` collide; everything else hashes structurally.
+fn equality_hash(value: &Value) -> u64 {
+    fn feed(value: &Value, h: &mut DefaultHasher) {
+        match value {
+            Value::Null => 0u8.hash(h),
+            Value::Bool(b) => {
+                1u8.hash(h);
+                b.hash(h);
+            }
+            Value::Int(_) | Value::Real(_) => {
+                2u8.hash(h);
+                let x = value.as_f64().unwrap_or_default();
+                // NaN equals nothing, so its bits need not agree with anything.
+                (if x == 0.0 { 0.0f64 } else { x }).to_bits().hash(h);
+            }
+            Value::Str(s) => {
+                3u8.hash(h);
+                s.hash(h);
+            }
+            Value::List(items) => {
+                4u8.hash(h);
+                items.len().hash(h);
+                items.iter().for_each(|item| feed(item, h));
+            }
+            Value::Record(pairs) => {
+                5u8.hash(h);
+                pairs.len().hash(h);
+                for (key, item) in pairs {
+                    key.hash(h);
+                    feed(item, h);
+                }
+            }
+        }
+    }
+    let mut h = DefaultHasher::new();
+    feed(value, &mut h);
+    h.finish()
+}
+
+/// The first occurrence of each [`values_equal`] class, in input order.
+/// Items are bucketed by [`equality_hash`] and compared only within their
+/// bucket, which gives the same list as comparing every pair.
+fn distinct(items: &[Value]) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    for item in items {
+        let bucket = buckets.entry(equality_hash(item)).or_default();
+        if !bucket.iter().any(|&kept| values_equal(&out[kept], item)) {
+            bucket.push(out.len());
+            out.push(item.clone());
+        }
+    }
+    out
+}
+
+/// The pairwise `distinct` that [`distinct`] replaced, kept as the oracle
+/// its proptest compares against.
+#[cfg(test)]
+fn distinct_pairwise(items: &[Value]) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::new();
+    for item in items {
+        if !out.iter().any(|o| values_equal(o, item)) {
+            out.push(item.clone());
+        }
+    }
+    out
+}
+
+/// Narrows `base` to the part `pick` selects: a borrow of a borrowed
+/// value stays a borrow, and only the picked part of an owned one is
+/// copied.
+fn narrow<'a>(
+    base: Cow<'a, Value>,
+    pick: impl FnOnce(&Value) -> Option<&Value>,
+) -> Option<Cow<'a, Value>> {
+    match base {
+        Cow::Borrowed(value) => pick(value).map(Cow::Borrowed),
+        Cow::Owned(value) => pick(&value).cloned().map(Cow::Owned),
+    }
+}
+
+/// Evaluates `expr`. Variables, fields and indexes evaluate to borrows of
+/// the bound values; only computed values are owned.
+fn eval<'a>(expr: &'a Expr, scope: &Scope<'a>) -> Result<Cow<'a, Value>> {
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
         Expr::Var(name) => scope
-            .vars
-            .get(name.as_str())
-            .cloned()
+            .lookup(name)
+            .map(Cow::Borrowed)
             .ok_or_else(|| FederationError::eval(format!("unknown variable `{name}`"))),
         Expr::List(items) => {
-            let vals: Result<Vec<Value>> = items.iter().map(|e| eval(e, scope)).collect();
-            Ok(Value::List(vals?))
+            let vals: Result<Vec<Value>> =
+                items.iter().map(|e| eval(e, scope).map(Cow::into_owned)).collect();
+            Ok(Cow::Owned(Value::List(vals?)))
         }
-        Expr::Not(e) => Ok(Value::Bool(!eval(e, scope)?.truthy())),
+        Expr::Not(e) => Ok(Cow::Owned(Value::Bool(!eval(e, scope)?.truthy()))),
         Expr::Neg(e) => {
             let v = eval(e, scope)?;
-            match v {
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Real(r) => Ok(Value::Real(-r)),
-                other => {
+            match *v {
+                Value::Int(i) => Ok(Cow::Owned(Value::Int(-i))),
+                Value::Real(r) => Ok(Cow::Owned(Value::Real(-r))),
+                ref other => {
                     Err(FederationError::eval(format!("cannot negate a {}", other.type_name())))
                 }
             }
         }
-        Expr::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, scope),
+        Expr::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, scope).map(Cow::Owned),
         Expr::If(cond, then_branch, else_branch) => {
             if eval(cond, scope)?.truthy() {
                 eval(then_branch, scope)
@@ -640,38 +751,35 @@ fn eval(expr: &Expr, scope: &mut Scope) -> Result<Value> {
         }
         Expr::Field(base, name) => {
             let b = eval(base, scope)?;
-            b.get(name).cloned().ok_or_else(|| {
-                FederationError::eval(format!("no field `{name}` on a {}", b.type_name()))
-            })
+            let type_name = b.type_name();
+            narrow(b, |v| v.get(name))
+                .ok_or_else(|| FederationError::eval(format!("no field `{name}` on a {type_name}")))
         }
         Expr::Index(base, idx) => {
             let b = eval(base, scope)?;
             let i = eval(idx, scope)?;
-            match (&b, &i) {
-                (Value::Record(_), Value::Str(key)) => b.get(key).cloned().ok_or_else(|| {
+            if let (Value::Record(_), Value::Str(key)) = (&*b, &*i) {
+                return narrow(b, |v| v.get(key)).ok_or_else(|| {
                     FederationError::eval(format!("no field `{key}` on the record"))
-                }),
-                _ => {
-                    let n = i.as_i64().ok_or_else(|| {
-                        FederationError::eval(format!(
-                            "index must be an int (or a string on records), got {}",
-                            i.type_name()
-                        ))
-                    })?;
-                    b.at(n as usize)
-                        .cloned()
-                        .ok_or_else(|| FederationError::eval(format!("index {n} out of bounds")))
-                }
+                });
             }
+            let n = i.as_i64().ok_or_else(|| {
+                FederationError::eval(format!(
+                    "index must be an int (or a string on records), got {}",
+                    i.type_name()
+                ))
+            })?;
+            narrow(b, |v| v.at(n as usize))
+                .ok_or_else(|| FederationError::eval(format!("index {n} out of bounds")))
         }
         Expr::Call(base, name, args) => {
             let b = eval(base, scope)?;
-            eval_call(&b, name, args, scope)
+            eval_call(&b, name, args, scope).map(Cow::Owned)
         }
     }
 }
 
-fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<Value> {
+fn eval_binary<'a>(op: BinOp, lhs: &'a Expr, rhs: &'a Expr, scope: &Scope<'a>) -> Result<Value> {
     // Short-circuit logic first.
     match op {
         BinOp::And => {
@@ -690,8 +798,8 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<V
         }
         _ => {}
     }
-    let l = eval(lhs, scope)?;
-    let r = eval(rhs, scope)?;
+    let (l, r) = (eval(lhs, scope)?, eval(rhs, scope)?);
+    let (l, r): (&Value, &Value) = (&l, &r);
     let type_err = |op_name: &str| {
         FederationError::eval(format!(
             "cannot apply `{op_name}` to {} and {}",
@@ -700,33 +808,33 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<V
         ))
     };
     match op {
-        BinOp::Add => match (&l, &r) {
+        BinOp::Add => match (l, r) {
             (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
-            _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a + b)).ok_or_else(|| type_err("+")),
+            _ => num_pair(l, r).map(|(a, b)| Value::Real(a + b)).ok_or_else(|| type_err("+")),
         },
-        BinOp::Sub => match (&l, &r) {
+        BinOp::Sub => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a - b)),
-            _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a - b)).ok_or_else(|| type_err("-")),
+            _ => num_pair(l, r).map(|(a, b)| Value::Real(a - b)).ok_or_else(|| type_err("-")),
         },
-        BinOp::Mul => match (&l, &r) {
+        BinOp::Mul => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a * b)),
-            _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a * b)).ok_or_else(|| type_err("*")),
+            _ => num_pair(l, r).map(|(a, b)| Value::Real(a * b)).ok_or_else(|| type_err("*")),
         },
         BinOp::Div => {
-            let (a, b) = num_pair(&l, &r).ok_or_else(|| type_err("/"))?;
+            let (a, b) = num_pair(l, r).ok_or_else(|| type_err("/"))?;
             if b == 0.0 {
                 return Err(FederationError::eval("division by zero"));
             }
             Ok(Value::Real(a / b))
         }
-        BinOp::Eq => Ok(Value::Bool(values_equal(&l, &r))),
-        BinOp::Ne => Ok(Value::Bool(!values_equal(&l, &r))),
+        BinOp::Eq => Ok(Value::Bool(values_equal(l, r))),
+        BinOp::Ne => Ok(Value::Bool(!values_equal(l, r))),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = match (&l, &r) {
+            let ord = match (l, r) {
                 (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
                 _ => {
-                    let (a, b) = num_pair(&l, &r).ok_or_else(|| type_err("comparison"))?;
+                    let (a, b) = num_pair(l, r).ok_or_else(|| type_err("comparison"))?;
                     a.partial_cmp(&b)
                 }
             }
@@ -810,28 +918,29 @@ fn no_args(args: &[Arg], method: &str) -> Result<()> {
     }
 }
 
-fn one_expr_arg(args: &[Arg], method: &str, scope: &mut Scope) -> Result<Value> {
+fn one_expr_arg<'a>(args: &'a [Arg], method: &str, scope: &Scope<'a>) -> Result<Cow<'a, Value>> {
     match args {
         [Arg::Expr(e)] => eval(e, scope),
         _ => Err(FederationError::eval(format!("`{method}` expects exactly one argument"))),
     }
 }
 
-fn apply_lambda(param: &str, body: &Expr, item: Value, scope: &mut Scope) -> Result<Value> {
-    let shadowed = scope.vars.insert(param.to_owned(), item);
-    let out = eval(body, scope);
-    match shadowed {
-        Some(old) => {
-            scope.vars.insert(param.to_owned(), old);
-        }
-        None => {
-            scope.vars.remove(param);
-        }
-    }
-    out
+/// Evaluates a lambda body with `param` bound to a borrow of `item`.
+fn apply_lambda<'a>(
+    param: &'a str,
+    body: &'a Expr,
+    item: &'a Value,
+    scope: &'a Scope<'a>,
+) -> Result<Cow<'a, Value>> {
+    eval(body, &Scope::Lambda { param, value: item, parent: scope })
 }
 
-fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Result<Value> {
+fn eval_call<'a>(
+    recv: &'a Value,
+    method: &str,
+    args: &'a [Arg],
+    scope: &Scope<'a>,
+) -> Result<Value> {
     // Collection operations.
     if let Value::List(items) = recv {
         match method {
@@ -840,7 +949,7 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                 let keep_on = method == "select";
                 let mut out = Vec::new();
                 for item in items {
-                    let keep = apply_lambda(param, body, item.clone(), scope)?.truthy();
+                    let keep = apply_lambda(param, body, item, scope)?.truthy();
                     if keep == keep_on {
                         out.push(item.clone());
                     }
@@ -851,14 +960,14 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                 let (param, body) = lambda_arg(args, method)?;
                 let mut out = Vec::new();
                 for item in items {
-                    out.push(apply_lambda(param, body, item.clone(), scope)?);
+                    out.push(apply_lambda(param, body, item, scope)?.into_owned());
                 }
                 return Ok(Value::List(out));
             }
             "exists" => {
                 let (param, body) = lambda_arg(args, method)?;
                 for item in items {
-                    if apply_lambda(param, body, item.clone(), scope)?.truthy() {
+                    if apply_lambda(param, body, item, scope)?.truthy() {
                         return Ok(Value::Bool(true));
                     }
                 }
@@ -867,7 +976,7 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
             "forAll" => {
                 let (param, body) = lambda_arg(args, method)?;
                 for item in items {
-                    if !apply_lambda(param, body, item.clone(), scope)?.truthy() {
+                    if !apply_lambda(param, body, item, scope)?.truthy() {
                         return Ok(Value::Bool(false));
                     }
                 }
@@ -877,7 +986,7 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                 let (param, body) = lambda_arg(args, method)?;
                 let mut n = 0i64;
                 for item in items {
-                    if apply_lambda(param, body, item.clone(), scope)?.truthy() {
+                    if apply_lambda(param, body, item, scope)?.truthy() {
                         n += 1;
                     }
                 }
@@ -887,7 +996,7 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                 let (param, body) = lambda_arg(args, method)?;
                 let mut keyed: Vec<(Value, Value)> = Vec::with_capacity(items.len());
                 for item in items {
-                    let key = apply_lambda(param, body, item.clone(), scope)?;
+                    let key = apply_lambda(param, body, item, scope)?.into_owned();
                     keyed.push((key, item.clone()));
                 }
                 keyed.sort_by(|(a, _), (b, _)| sort_key_order(a, b));
@@ -967,13 +1076,7 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
             }
             "distinct" => {
                 no_args(args, method)?;
-                let mut out: Vec<Value> = Vec::new();
-                for item in items {
-                    if !out.iter().any(|o| values_equal(o, item)) {
-                        out.push(item.clone());
-                    }
-                }
-                return Ok(Value::List(out));
+                return Ok(Value::List(distinct(items)));
             }
             "flatten" => {
                 no_args(args, method)?;
@@ -1140,12 +1243,9 @@ impl Query {
     /// Returns [`FederationError::Eval`] on type errors, unknown variables
     /// or methods, and out-of-bounds access.
     pub fn eval(&self, model: &Value) -> Result<Value> {
-        let mut bindings: Vec<(&str, Value)> =
-            vec![("model", model.clone()), ("self", model.clone())];
-        if matches!(model, Value::List(_)) {
-            bindings.push(("rows", model.clone()));
-        }
-        self.eval_with(bindings)
+        let bindings = [("model", model), ("self", model), ("rows", model)];
+        let bound = if matches!(model, Value::List(_)) { &bindings[..] } else { &bindings[..2] };
+        eval(&self.ast, &Scope::Root(bound)).map(Cow::into_owned)
     }
 
     /// Evaluates with explicit variable bindings.
@@ -1157,9 +1257,9 @@ impl Query {
         &self,
         bindings: impl IntoIterator<Item = (&'a str, Value)>,
     ) -> Result<Value> {
-        let mut scope =
-            Scope { vars: bindings.into_iter().map(|(k, v)| (k.to_owned(), v)).collect() };
-        eval(&self.ast, &mut scope)
+        let owned: Vec<(&str, Value)> = bindings.into_iter().collect();
+        let borrowed: Vec<(&str, &Value)> = owned.iter().map(|(k, v)| (*k, v)).collect();
+        eval(&self.ast, &Scope::Root(&borrowed)).map(Cow::into_owned)
     }
 }
 
@@ -1181,6 +1281,7 @@ pub fn eval_str(source: &str, model: &Value) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rows() -> Value {
         crate::csv::parse(
@@ -1410,6 +1511,76 @@ mod tests {
         let r = Value::record([("@fit", Value::Int(10))]);
         assert_eq!(eval_str("model['@fit']", &r).unwrap(), Value::Int(10));
         assert!(eval_str("model['missing']", &r).is_err());
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_across_numeric_kinds() {
+        let v = eval_str(
+            "[1, 1.0, -0.0, 0, 'a', 'a', [1], [1.0], [-0.0], [0.0]].distinct()",
+            &Value::Null,
+        )
+        .unwrap();
+        assert_eq!(
+            v,
+            Value::list([
+                Value::Int(1),
+                Value::Real(-0.0),
+                Value::from("a"),
+                Value::list([Value::Int(1)]),
+                Value::list([Value::Real(1.0)]),
+                Value::list([Value::Real(-0.0)]),
+            ])
+        );
+    }
+
+    #[test]
+    fn evaluation_borrows_bound_values_without_changing_results() {
+        // Field, index and lambda access over the bound model: the
+        // results are the same owned values the copying evaluator built.
+        let r = rows();
+        assert_eq!(eval_str("model", &r).unwrap(), r);
+        assert_eq!(eval_str("rows[6]", &r).unwrap(), r.at(6).cloned().unwrap());
+        assert_eq!(eval_str("rows[6]['Component']", &r).unwrap(), Value::from("MC"));
+        assert_eq!(
+            eval_str("rows.collect(r | r).collect(r | r.FIT)[0]", &r).unwrap(),
+            Value::Int(10)
+        );
+        let q = Query::parse("x.collect(x | x)").unwrap();
+        let v = q.eval_with([("x", Value::Int(1)), ("x", Value::list([Value::Int(2)]))]).unwrap();
+        assert_eq!(v, Value::list([Value::Int(2)]), "a later root binding wins");
+    }
+
+    /// Items mixing ints and reals of equal value, signed zeros, NaN,
+    /// strings, nulls, booleans and nested lists.
+    fn arb_item() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            (-2i64..3).prop_map(Value::Int),
+            (-2i64..3).prop_map(|i| Value::Real(i as f64)),
+            Just(Value::Real(-0.0)),
+            Just(Value::Real(f64::NAN)),
+            Just(Value::Real(0.5)),
+            "[ab1]{0,2}".prop_map(Value::Str),
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+        ];
+        leaf.prop_recursive(2, 16, 3, |inner| {
+            proptest::collection::vec(inner, 0..3).prop_map(Value::List)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hashed_distinct_matches_the_pairwise_scan(
+            items in proptest::collection::vec(arb_item(), 0..24)
+        ) {
+            // Debug text tells NaN and -0.0 apart, which `==` cannot.
+            let hashed = format!("{:?}", distinct(&items));
+            prop_assert_eq!(hashed, format!("{:?}", distinct_pairwise(&items)));
+            let via_query = eval_str("rows.distinct()", &Value::List(items.clone())).unwrap();
+            prop_assert_eq!(format!("{:?}", via_query), format!("{:?}", Value::List(distinct_pairwise(&items))));
+        }
     }
 
     #[test]

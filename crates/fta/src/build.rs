@@ -9,7 +9,7 @@
 //! loss-of-function failure. The resulting tree is `AND` over paths of
 //! `OR` over the path components' loss events.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use decisive_core::fmea::{FmeaRow, FmeaTable};
 use decisive_ssam::architecture::{Component, Coverage, Fit};
@@ -101,22 +101,25 @@ pub fn build_fault_tree(
         return Err(FtaError::NoPaths { container: container_name });
     }
     let mut tree = FaultTree::new(format!("loss of function at `{container_name}`"));
-    let mut event_of: HashMap<(String, String), NodeId> = HashMap::new();
+    // Keyed by borrowed names, so a repeat lookup allocates nothing; the
+    // owned keys of `event_of` are made once per event at the end.
+    let mut event_by_name: HashMap<(&str, &str), NodeId> = HashMap::new();
     let mut path_nodes = Vec::with_capacity(paths.len());
     for (i, path) in paths.iter().enumerate() {
         let mut loss_events = Vec::new();
+        let mut on_path: HashSet<NodeId> = HashSet::new();
         for &component in path {
             let c = &model.components[component];
             for (_, fm) in model.failure_modes_of(component) {
                 if !fm.nature.breaks_path() {
                     continue;
                 }
-                let key = (c.core.name.value().to_owned(), fm.core.name.value().to_owned());
-                let event = *event_of.entry(key.clone()).or_insert_with(|| {
+                let key = (c.core.name.value(), fm.core.name.value());
+                let event = *event_by_name.entry(key).or_insert_with(|| {
                     let fit = c.fit.unwrap_or(Fit::ZERO) * fm.distribution;
                     tree.basic(format!("{}:{}", key.0, key.1), fit)
                 });
-                if !loss_events.contains(&event) {
+                if on_path.insert(event) {
                     loss_events.push(event);
                 }
             }
@@ -126,6 +129,10 @@ pub fn build_fault_tree(
     let top =
         tree.try_event(format!("loss of function at `{container_name}`"), Gate::And, path_nodes)?;
     tree.try_set_top(top)?;
+    let event_of = event_by_name
+        .into_iter()
+        .map(|((component, mode), event)| ((component.to_owned(), mode.to_owned()), event))
+        .collect();
     Ok(SynthesisedTree { tree, event_of })
 }
 
@@ -138,11 +145,11 @@ fn enumerate_paths(
 ) -> Result<Vec<Vec<Idx<Component>>>, FtaError> {
     // Adjacency among children plus the container as both SRC and SINK.
     let mut succ: HashMap<Option<Idx<Component>>, Vec<Idx<Component>>> = HashMap::new();
-    let mut to_sink: Vec<Idx<Component>> = Vec::new();
+    let mut to_sink = vec![false; model.components.len()];
     for (_, rel) in model.relationships_within(container) {
         if rel.to == container {
             if rel.from != container {
-                to_sink.push(rel.from);
+                to_sink[rel.from.index()] = true;
             }
             continue;
         }
@@ -151,22 +158,23 @@ fn enumerate_paths(
     }
     let mut paths = Vec::new();
     let mut stack: Vec<Idx<Component>> = Vec::new();
-    let mut on_path: std::collections::HashSet<Idx<Component>> = std::collections::HashSet::new();
+    let mut on_path = vec![false; model.components.len()];
     dfs(&succ, &to_sink, None, &mut stack, &mut on_path, &mut paths, max_paths)?;
     Ok(paths)
 }
 
+/// `to_sink` and `on_path` are membership flags indexed by component.
 fn dfs(
     succ: &HashMap<Option<Idx<Component>>, Vec<Idx<Component>>>,
-    to_sink: &[Idx<Component>],
+    to_sink: &[bool],
     at: Option<Idx<Component>>,
     stack: &mut Vec<Idx<Component>>,
-    on_path: &mut std::collections::HashSet<Idx<Component>>,
+    on_path: &mut [bool],
     paths: &mut Vec<Vec<Idx<Component>>>,
     max_paths: usize,
 ) -> Result<(), FtaError> {
     if let Some(component) = at {
-        if to_sink.contains(&component) {
+        if to_sink[component.index()] {
             if paths.len() >= max_paths {
                 return Err(FtaError::TooManyPaths { max_paths });
             }
@@ -175,14 +183,14 @@ fn dfs(
     }
     if let Some(nexts) = succ.get(&at) {
         for &next in nexts {
-            if on_path.contains(&next) {
+            if on_path[next.index()] {
                 continue;
             }
-            on_path.insert(next);
+            on_path[next.index()] = true;
             stack.push(next);
             dfs(succ, to_sink, Some(next), stack, on_path, paths, max_paths)?;
             stack.pop();
-            on_path.remove(&next);
+            on_path[next.index()] = false;
         }
     }
     Ok(())
@@ -196,8 +204,10 @@ pub fn fmea_from_fault_tree(
     model: &SsamModel,
     container: Idx<Component>,
 ) -> FmeaTable {
-    let single_points: std::collections::HashSet<NodeId> =
-        synthesised.tree.single_points().into_iter().collect();
+    let mcs = synthesised.tree.minimal_cut_sets();
+    let single_points: HashSet<NodeId> =
+        mcs.iter().filter(|cs| cs.len() == 1).flat_map(|cs| cs.iter().copied()).collect();
+    let in_some_cut: HashSet<NodeId> = mcs.iter().flatten().copied().collect();
     let mut table = FmeaTable::new(model.components[container].core.name.value());
     for component in model.descendants_of(container) {
         let c = &model.components[component];
@@ -211,16 +221,14 @@ pub fn fmea_from_fault_tree(
             // (or unmodelled) has no effect on this top event.
             let impact = if safety_related {
                 Some(decisive_ssam::architecture::FailureImpact::DirectViolation)
-            } else if let Some(e) = event {
-                let in_some_cut =
-                    synthesised.tree.minimal_cut_sets().iter().any(|cs| cs.contains(e));
-                Some(if in_some_cut {
-                    decisive_ssam::architecture::FailureImpact::IndirectViolation
-                } else {
-                    decisive_ssam::architecture::FailureImpact::NoEffect
-                })
             } else {
-                None
+                event.map(|e| {
+                    if in_some_cut.contains(e) {
+                        decisive_ssam::architecture::FailureImpact::IndirectViolation
+                    } else {
+                        decisive_ssam::architecture::FailureImpact::NoEffect
+                    }
+                })
             };
             table.push(FmeaRow {
                 component: key.0,

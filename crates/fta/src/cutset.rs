@@ -1,6 +1,6 @@
 //! Minimal cut set extraction (MOCUS) and quantification.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::build::FtaError;
 use crate::tree::{FaultTree, Gate, Node, NodeId};
@@ -140,7 +140,50 @@ fn combinations(items: &[NodeId], k: usize) -> Vec<Vec<NodeId>> {
 
 /// Removes duplicate and superset cut sets, returning them sorted by size
 /// then content (singletons — the single-point faults — first).
+///
+/// Candidates are visited in that order, so every kept set is no larger
+/// than the candidate under test. A kept singleton `{x}` absorbs the
+/// candidate iff `x` is in it, which one hash lookup per candidate event
+/// decides; a kept multi-event set can only absorb a candidate holding
+/// its smallest event, so kept multi-event sets are indexed by that event
+/// and only those are subset-tested. Series structures — all singletons —
+/// minimise in linear time instead of the pairwise scan's quadratic.
 pub fn minimise(mut sets: Vec<CutSet>) -> Vec<CutSet> {
+    sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    if sets.first().is_some_and(CutSet::is_empty) {
+        // The empty set sorts first and is a subset of every other set.
+        sets.truncate(1);
+        return sets;
+    }
+    let mut minimal: Vec<CutSet> = Vec::new();
+    let mut singletons: HashSet<NodeId> = HashSet::new();
+    let mut multi_by_first: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    for candidate in sets {
+        // Only the first set can be empty, and it was not.
+        let Some(&first) = candidate.first() else { continue };
+        let absorbed = candidate.iter().any(|e| {
+            singletons.contains(e)
+                || multi_by_first
+                    .get(e)
+                    .is_some_and(|kept| kept.iter().any(|&i| minimal[i].is_subset(&candidate)))
+        });
+        if absorbed {
+            continue;
+        }
+        if candidate.len() == 1 {
+            singletons.insert(first);
+        } else {
+            multi_by_first.entry(first).or_default().push(minimal.len());
+        }
+        minimal.push(candidate);
+    }
+    minimal
+}
+
+/// The pairwise-scan minimisation [`minimise`] replaced, kept as the
+/// oracle its proptests compare against.
+#[cfg(test)]
+pub(crate) fn minimise_pairwise(mut sets: Vec<CutSet>) -> Vec<CutSet> {
     sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     let mut minimal: Vec<CutSet> = Vec::new();
     for candidate in sets {
@@ -155,6 +198,7 @@ pub fn minimise(mut sets: Vec<CutSet>) -> Vec<CutSet> {
 mod tests {
     use super::*;
     use decisive_ssam::architecture::Fit;
+    use proptest::prelude::*;
 
     fn fit() -> Fit {
         Fit::new(1.0)
@@ -235,6 +279,45 @@ mod tests {
         let mut ft = FaultTree::new("t");
         ft.basic("a", fit());
         assert!(ft.minimal_cut_sets().is_empty());
+    }
+
+    #[test]
+    fn minimise_keeps_only_the_empty_set_when_present() {
+        let sets = vec![CutSet::from([NodeId(1)]), CutSet::new(), CutSet::new()];
+        assert_eq!(minimise(sets), vec![CutSet::new()]);
+    }
+
+    #[test]
+    fn minimise_absorbs_supersets_of_multi_event_sets() {
+        let ab = CutSet::from([NodeId(0), NodeId(1)]);
+        let abc = CutSet::from([NodeId(0), NodeId(1), NodeId(2)]);
+        let bc = CutSet::from([NodeId(1), NodeId(2)]);
+        let minimal = minimise(vec![abc, bc.clone(), ab.clone(), ab.clone()]);
+        assert_eq!(minimal, vec![ab, bc]);
+    }
+
+    /// A family over a small alphabet, so duplicates and supersets are
+    /// common; one family in eight also carries the empty set.
+    fn arb_family() -> impl Strategy<Value = Vec<CutSet>> {
+        (proptest::collection::vec(proptest::collection::vec(0u32..8, 1..5), 0..40), 0u8..8)
+            .prop_map(|(sets, empty)| {
+                let mut family: Vec<CutSet> =
+                    sets.into_iter().map(|s| s.into_iter().map(NodeId).collect()).collect();
+                if empty == 0 {
+                    let at = family.len() / 2;
+                    family.insert(at, CutSet::new());
+                }
+                family
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn minimise_matches_the_pairwise_scan(family in arb_family()) {
+            prop_assert_eq!(minimise(family.clone()), minimise_pairwise(family));
+        }
     }
 
     #[test]
