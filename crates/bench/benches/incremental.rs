@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::Engine;
 use decisive::federation::{json, Value};
 use decisive::ssam::architecture::Fit;
 use decisive::ssam::model::SsamModel;
@@ -37,18 +37,21 @@ fn bench_incremental(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("incremental/{label}"));
         group.bench_function("cold", |b| {
             b.iter(|| {
-                Engine::new(EngineConfig::with_jobs(4))
+                Engine::builder()
+                    .jobs(4)
+                    .build()
+                    .expect("engine builds")
                     .analyze_graph(black_box(&model), top)
                     .expect("cold analysis")
             })
         });
         group.bench_function("warm", |b| {
-            let mut engine = Engine::new(EngineConfig::with_jobs(4));
+            let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
             engine.analyze_graph(&model, top).expect("prime");
             b.iter(|| engine.analyze_graph(black_box(&model), top).expect("warm analysis"))
         });
         group.bench_function("one_edit_rerun", |b| {
-            let mut engine = Engine::new(EngineConfig::with_jobs(4));
+            let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
             engine.analyze_graph(&model, top).expect("prime");
             b.iter(|| {
                 engine
@@ -62,7 +65,10 @@ fn bench_incremental(c: &mut Criterion) {
         for jobs in [1usize, 2, 4, 8] {
             group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
                 b.iter(|| {
-                    Engine::new(EngineConfig::with_jobs(jobs))
+                    Engine::builder()
+                        .jobs(jobs)
+                        .build()
+                        .expect("engine builds")
                         .analyze_graph(black_box(&model), top)
                         .expect("scaling analysis")
                 })
@@ -82,7 +88,7 @@ fn print_summary() {
         let (edited, edited_top) = edited_copy(n);
 
         let t = Instant::now();
-        let mut engine = Engine::new(EngineConfig::with_jobs(4));
+        let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
         engine.analyze_graph(&model, top).expect("cold");
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
 

@@ -32,7 +32,7 @@ use decisive::core::campaign::CampaignConfig;
 use decisive::core::fmea::injection::InjectionConfig;
 use decisive::core::montecarlo::MonteCarloReport;
 use decisive::core::reliability::ReliabilityDb;
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::Engine;
 use decisive::federation::{json, Value};
 
 /// Power rails in the subject; 32 rails + ties + shunts = 230 blocks.
@@ -130,7 +130,7 @@ fn run_campaign(
     kernel: SolverKernel,
     trials: usize,
 ) -> (f64, MonteCarloReport) {
-    let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+    let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
     let t = Instant::now();
     let report = engine
         .analyze_montecarlo(diagram, db, &config(kernel), trials, SEED)

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput};
+use decisive::engine::{Engine, Pipeline, PipelineInput};
 use decisive::federation::{json, Value};
 use decisive::ssam::architecture::Fit;
 use decisive::ssam::model::SsamModel;
@@ -41,13 +41,16 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("pipeline/{label}"));
         group.bench_function("cold", |b| {
             b.iter(|| {
-                Engine::new(EngineConfig::with_jobs(4))
+                Engine::builder()
+                    .jobs(4)
+                    .build()
+                    .expect("engine builds")
                     .run_pipeline(&pipeline, black_box(&PipelineInput::for_model(&model, top)))
                     .expect("cold pipeline")
             })
         });
         group.bench_function("warm", |b| {
-            let mut engine = Engine::new(EngineConfig::with_jobs(4));
+            let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
             engine.run_pipeline(&pipeline, &PipelineInput::for_model(&model, top)).expect("prime");
             b.iter(|| {
                 engine
@@ -56,7 +59,7 @@ fn bench_pipeline(c: &mut Criterion) {
             })
         });
         group.bench_function("one_edit", |b| {
-            let mut engine = Engine::new(EngineConfig::with_jobs(4));
+            let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
             engine.run_pipeline(&pipeline, &PipelineInput::for_model(&model, top)).expect("prime");
             b.iter(|| {
                 engine
@@ -73,7 +76,10 @@ fn bench_pipeline(c: &mut Criterion) {
         for jobs in JOBS {
             group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
                 b.iter(|| {
-                    Engine::new(EngineConfig::with_jobs(jobs))
+                    Engine::builder()
+                        .jobs(jobs)
+                        .build()
+                        .expect("engine builds")
                         .run_pipeline(&pipeline, black_box(&PipelineInput::for_model(&model, top)))
                         .expect("scaling pipeline")
                 })
@@ -95,7 +101,7 @@ fn print_summary() {
 
         let mut per_jobs = Vec::new();
         for jobs in JOBS {
-            let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+            let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
 
             let t = Instant::now();
             engine.run_pipeline(&pipeline, &PipelineInput::for_model(&model, top)).expect("cold");

@@ -1,13 +1,14 @@
-//! Bench: warm start through the segmented store versus the wholesale
-//! v3 JSON load (ISSUE 7).
+//! Bench: warm start through the segmented store versus reading the
+//! wholesale v3 JSON exchange document.
 //!
 //! The store's promise is O(touched-artifacts) warm start: opening is
 //! one checksummed index scan (no JSON parsing of values), and values
-//! decode lazily on first hit. The old path parsed and validated the
-//! entire `cache.json` before the first artefact could be served. This
-//! harness builds the same 10k-artifact corpus in both formats and
-//! measures, for each, the time from cold process to "the first hundred
-//! artefacts are served".
+//! decode lazily on first hit. The strawman is what `decisive store
+//! import` does with a v3 document: read it, parse it and audit every
+//! entry (`CacheStore::from_value_audited`) before the first artefact can
+//! be served. This harness builds the same 10k-artifact corpus in both
+//! formats and measures, for each, the time from cold process to "the
+//! first hundred artefacts are served".
 //!
 //! It prints one `BENCH_store {...}` JSON line; `warm_ok` (the store
 //! beats the JSON load by the acceptance criterion's ≥5× at ≥10k
@@ -43,7 +44,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("decisive-bench-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let json_dir = dir.join("json");
+    let json_file = dir.join("snapshot.json");
     let store_dir = dir.join("store");
 
     // One corpus, persisted both ways.
@@ -51,7 +52,7 @@ fn main() {
     for i in 0..ARTIFACTS {
         cache.put(ArtifactKind::GraphRow, key(i), "bench", &row(i)).expect("seed put");
     }
-    cache.save(&json_dir).expect("json save");
+    std::fs::write(&json_file, json::to_string(&cache.to_value())).expect("json write");
     {
         let (log, _) = SegmentStore::open(&store_dir, StoreOptions::default(), Telemetry::noop())
             .expect("store open");
@@ -59,11 +60,15 @@ fn main() {
         assert_eq!(imported as u64, ARTIFACTS);
     }
 
-    // Old path: parse the whole cache.json, then read TOUCHED entries.
+    // Strawman: read, parse and audit the whole document, then read
+    // TOUCHED entries.
     let mut json_ms = f64::INFINITY;
     for _ in 0..ITERS {
         let t = Instant::now();
-        let loaded = CacheStore::load(&json_dir).expect("json load");
+        let text = std::fs::read_to_string(&json_file).expect("json read");
+        let value = json::parse(&text).expect("json parse");
+        let (loaded, report) = CacheStore::from_value_audited(&value);
+        assert!(report.is_clean(), "clean corpus audits clean");
         for i in 0..TOUCHED {
             assert!(
                 loaded.get::<Vec<f64>>(ArtifactKind::GraphRow, key(i)).is_some(),

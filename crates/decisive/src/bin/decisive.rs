@@ -346,9 +346,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     // the spans are most interesting.
     let result = (|| {
         let table = engine.analyze_graph(&model, top).map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
         match format {
             OutputFormat::Text => {
                 print_table(&table, args)?;
@@ -464,9 +461,6 @@ fn run_pipeline_verb(
             return Err(CliError::Failure(e.to_string()));
         }
     };
-    if let Some(dir) = flag_value(args, "--cache") {
-        engine.save_cache(dir).map_err(|e| e.to_string())?;
-    }
     if format == OutputFormat::Json {
         if let Some(table) = run.fmea() {
             write_table_files(table, args, true)?;
@@ -593,9 +587,6 @@ fn cmd_rerun(args: &[String]) -> Result<(), CliError> {
         let (table, report) =
             engine.rerun(&old_model, &new_model, top).map_err(|e| e.to_string())?;
         print!("{}", report.render());
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
         print_table(&table, args)?;
         print!("{}", engine.stats().render());
         print!("{}", engine.degraded_report().render());
@@ -629,9 +620,6 @@ fn analyze_diagram(request: &AnalysisRequest, args: &[String]) -> Result<(), Cli
                 return Err(CliError::Failure(e.to_string()));
             }
         };
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
         if format == OutputFormat::Json {
             write_table_files(&table, args, true)?;
             println!(
@@ -713,9 +701,6 @@ fn cmd_montecarlo(args: &[String]) -> Result<(), CliError> {
                 spec.seed,
             )
             .map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
         match format {
             OutputFormat::Text => {
                 print!("{}", report.render());
@@ -754,9 +739,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
         let report = engine
             .analyze_recommend(&diagram, &reliability, &spec.injection_config())
             .map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
         match format {
             OutputFormat::Text => {
                 print!("{}", report.render());
@@ -1385,12 +1367,9 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
         }
         "import" => {
             let source = snapshot_path("import")?;
-            let text = std::fs::read_to_string(source)
-                .map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
-            let value =
-                json::parse(&text).map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
-            let (snapshot, report, _) = decisive::engine::CacheStore::from_value_audited(&value);
-            let imported = log.import(&snapshot).map_err(|e| CliError::Failure(e.to_string()))?;
+            let (imported, report) = log
+                .import_json(std::path::Path::new(source))
+                .map_err(|e| CliError::Failure(e.to_string()))?;
             println!("# imported {imported} entr(ies) from {source}");
             for reason in &report.reasons {
                 eprintln!("# skipped: {reason}");

@@ -8,32 +8,25 @@
 //! [`CacheStore::invalidate_owner`] pass exists to *garbage-collect* stale
 //! entries and to report how many keys a change dirtied.
 //!
-//! The store persists through the federation layer (`serde_bridge` +
-//! `json`) as a single `cache.json` in the cache directory, so warm caches
-//! survive CLI invocations — or, preferred since the segmented store
-//! landed, through a durable [`SharedStore`] backed by the append-only
-//! log of [`crate::store`] (see [`SharedStore::open_durable`]), which
-//! makes every completed pass durable immediately and warm starts
-//! O(touched artifacts). The v3 JSON format remains the portable
-//! interchange format (`decisive store import`/`export`).
+//! Persistence has one path: a durable [`SharedStore`] backed by the
+//! crash-safe append-only log of [`crate::store`] (see
+//! [`SharedStore::open_durable`]), which an engine built with a cache
+//! directory layers its cache over. Every completed pass is durable
+//! before it reports done, and a warm start costs O(touched artifacts).
 //!
-//! ## Crash safety (format v3)
+//! ## The v3 exchange format
 //!
-//! A killed run must never poison the next one, so persistence is built
-//! around two mechanisms:
-//!
-//! * **Atomic writes** — the store is written to a temp file, fsynced,
-//!   and renamed over `cache.json`, so readers only ever see the old or
-//!   the new file, never a torn one.
-//! * **Checksummed quarantine loads** — every persisted entry carries a
-//!   fingerprint checksum and the header a whole-file checksum. On load,
-//!   entries failing checksum or shape validation are moved to
-//!   [`QUARANTINE_FILE`] and simply recomputed (a cache may always be
-//!   cold, never wrong); an unparsable file is quarantined wholesale.
-//!   [`CacheStore::load_with_report`] surfaces what was dropped.
+//! [`CacheStore::to_value`] and [`CacheStore::from_value_audited`] are the
+//! codec of the portable v3 JSON document: `decisive store export` writes
+//! it, and `decisive store import` as well as the one-time migration of a
+//! legacy `cache.json` read it through [`SegmentStore::import_json`].
+//! Every entry carries a fingerprint checksum and the header a whole-file
+//! checksum; entries failing checksum or shape validation are skipped
+//! and reported (a cache may always be cold, never wrong), and a legacy
+//! file that does not parse at all is moved to [`QUARANTINE_FILE`].
 
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -168,9 +161,11 @@ impl SharedStore {
     /// Opens a shared layer durably persisted in `dir/store/` as a
     /// segmented append-only log, running crash recovery. On the *first*
     /// durable open of a directory still holding a legacy v3 `cache.json`,
-    /// its verified entries are migrated into the log and the file is
-    /// retired as `cache.json.imported` (recoverable any time via
-    /// `decisive store import`).
+    /// its verified entries are migrated into the log
+    /// ([`SegmentStore::import_json`]) and the file is retired as
+    /// `cache.json.imported` (recoverable any time via `decisive store
+    /// import`); a legacy file that does not parse is moved to
+    /// [`QUARANTINE_FILE`] instead, and the store starts cold.
     ///
     /// # Errors
     ///
@@ -187,12 +182,26 @@ impl SharedStore {
         let fresh = !store_dir.join(MANIFEST_FILE).exists();
         let (log, mut recovery) = SegmentStore::open(&store_dir, options, telemetry)?;
         let log = Arc::new(log);
-        if fresh && dir.join(CACHE_FILE).exists() {
-            let (legacy, report) = CacheStore::load_with_report(dir)?;
-            recovery.migrated_entries = log.import(&legacy)?;
-            recovery.quarantined_frames += report.quarantined;
-            recovery.notes.extend(report.reasons);
-            std::fs::rename(dir.join(CACHE_FILE), dir.join(format!("{CACHE_FILE}.imported"))).ok();
+        let legacy = dir.join(CACHE_FILE);
+        if fresh && legacy.exists() {
+            match log.import_json(&legacy) {
+                Ok((migrated, report)) => {
+                    recovery.migrated_entries = migrated;
+                    recovery.quarantined_frames += report.quarantined;
+                    recovery.notes.extend(report.reasons);
+                    std::fs::rename(&legacy, dir.join(format!("{CACHE_FILE}.imported"))).ok();
+                }
+                Err(EngineError::Cache(reason)) => {
+                    // Not even JSON: keep the bytes for post-mortem and
+                    // start cold.
+                    let quarantine = dir.join(QUARANTINE_FILE);
+                    rotate_quarantine(&quarantine);
+                    std::fs::rename(&legacy, &quarantine).ok();
+                    recovery.quarantined_frames += 1;
+                    recovery.notes.push(format!("{reason}; whole file moved to {QUARANTINE_FILE}"));
+                }
+                Err(e) => return Err(e),
+            }
         }
         let shared = SharedStore { log: Some(log), ..SharedStore::default() };
         Ok((shared, recovery))
@@ -277,41 +286,6 @@ impl SharedStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Bulk-imports every entry of `store` (an overlay or a persisted
-    /// snapshot) into the shared layer; returns how many were added. On a
-    /// durable layer newly absorbed entries are also appended to the log
-    /// best-effort (bulk imports should prefer `decisive store import`,
-    /// which surfaces append errors).
-    pub fn absorb(&self, store: &CacheStore) -> usize {
-        let mut entries = self.entries.lock().expect("shared store poisoned");
-        let before = entries.len();
-        for (key, entry) in &store.entries {
-            if let std::collections::hash_map::Entry::Vacant(vacant) = entries.entry(*key) {
-                if let Some(log) = &self.log {
-                    log.append(key.0, key.1, &entry.owner, &entry.value).ok();
-                }
-                vacant.insert(entry.clone());
-            }
-        }
-        entries.len() - before
-    }
-
-    /// A plain [`CacheStore`] copy of the shared contents (shared layer
-    /// detached), for persistence via [`CacheStore::save`]. On a durable
-    /// layer this materialises the full log — the export path, not the
-    /// shutdown path (durable layers persist incrementally).
-    pub fn snapshot(&self) -> CacheStore {
-        let mut snapshot = match &self.log {
-            Some(log) => log.export(),
-            None => CacheStore::new(),
-        };
-        for (key, entry) in self.entries.lock().expect("shared store poisoned").iter() {
-            snapshot.entries.insert(*key, entry.clone());
-        }
-        snapshot.shared = None;
-        snapshot
-    }
-
     fn get_entry(&self, kind: ArtifactKind, key: Fingerprint) -> Option<CacheEntry> {
         if let Some(entry) =
             self.entries.lock().expect("shared store poisoned").get(&(kind, key)).cloned()
@@ -340,12 +314,13 @@ impl SharedStore {
     }
 }
 
-/// File name of the persisted store inside a cache directory.
+/// File name of a legacy wholesale v3 cache inside a cache directory,
+/// migrated into the segmented store on its first open.
 pub const CACHE_FILE: &str = "cache.json";
 
-/// File name corrupt cache content is moved to inside a cache directory,
-/// for post-mortem inspection. A later corruption event rotates an
-/// existing file aside as `cache.quarantine.json.1`, `.2`, … (capped at
+/// File name an unparsable legacy [`CACHE_FILE`] is moved to, for
+/// post-mortem inspection. A later corruption event rotates an existing
+/// file aside as `cache.quarantine.json.1`, `.2`, … (capped at
 /// [`QUARANTINE_KEEP`]) instead of clobbering it.
 pub const QUARANTINE_FILE: &str = "cache.quarantine.json";
 
@@ -386,20 +361,18 @@ pub(crate) fn rotate_quarantine(path: &Path) {
     }
 }
 
-/// Version stamp of the persisted format; mismatches load as empty.
+/// Version stamp of the exchange format; mismatches import nothing.
 /// Version 2: injection rows carry their campaign outcome
 /// (`InjectionArtifact`) instead of a bare `FmeaRow`.
 /// Version 3: per-entry `sum` and whole-file `checksum` fields, verified
-/// on load with a quarantine path for entries that fail.
+/// on import; entries that fail are skipped.
 const FORMAT_VERSION: i64 = 3;
 
-/// What a [`CacheStore::load_with_report`] had to drop to produce a
-/// usable store. A clean load has zero quarantined items and no notes.
+/// What [`CacheStore::from_value_audited`] had to drop to produce a
+/// usable store. A clean audit has zero quarantined items and no notes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheLoadReport {
-    /// Entries (or, for an unparsable file, the whole file counted as
-    /// one item) moved to [`QUARANTINE_FILE`] and scheduled for
-    /// recomputation.
+    /// Entries rejected by the audit (and so recomputed when needed).
     pub quarantined: usize,
     /// One human-readable reason per dropped or suspicious item.
     pub reasons: Vec<String>,
@@ -491,8 +464,8 @@ impl CacheStore {
     /// Layers this store over `shared`: lookups missing the local entries
     /// fall back to the shared layer (counted by
     /// [`SharedStore::shared_hits`]) and stores write through to it.
-    /// Persistence ([`CacheStore::to_value`], [`CacheStore::save`]) and
-    /// invalidation stay strictly local.
+    /// Export ([`CacheStore::to_value`]) and invalidation stay strictly
+    /// local.
     pub fn attach_shared(&mut self, shared: SharedStore) {
         self.shared = Some(shared);
     }
@@ -617,39 +590,31 @@ impl CacheStore {
     }
 
     /// Rebuilds a store from [`CacheStore::to_value`] output, dropping
-    /// anything that fails validation — a cache may always be cold, never
-    /// wrong. See [`CacheStore::from_value_audited`] for what exactly is
-    /// checked.
-    pub fn from_value(value: &Value) -> CacheStore {
-        Self::from_value_audited(value).0
-    }
-
-    /// Rebuilds a store, returning the load report and the raw rejected
-    /// entries alongside it.
+    /// anything that fails validation, and returns the audit report
+    /// alongside it.
     ///
     /// Validation per entry: known kind tag, parsable key, string owner,
     /// present value, and a `sum` matching the recomputed entry checksum.
-    /// Rejected entries land in the returned list (for quarantining) with
-    /// one reason each in the report. A version mismatch yields an empty
-    /// store with a note but quarantines nothing (an old format is stale,
-    /// not corrupt); a whole-file checksum mismatch over individually
-    /// valid entries is noted but keeps the entries.
-    pub fn from_value_audited(value: &Value) -> (CacheStore, CacheLoadReport, Vec<Value>) {
+    /// Each rejected entry is counted in the report with one reason. A
+    /// version mismatch yields an empty store with a note but rejects
+    /// nothing (an old format is stale, not corrupt); a whole-file
+    /// checksum mismatch over individually valid entries is noted but
+    /// keeps the entries.
+    pub fn from_value_audited(value: &Value) -> (CacheStore, CacheLoadReport) {
         let mut store = CacheStore::new();
         let mut report = CacheLoadReport::default();
-        let mut rejected = Vec::new();
         let version = value.get("version").and_then(Value::as_i64);
         if version != Some(FORMAT_VERSION) {
             report.reasons.push(format!(
                 "cache format version {} does not match expected {FORMAT_VERSION}; starting cold",
                 version.map(|v| v.to_string()).unwrap_or_else(|| "<missing>".to_owned())
             ));
-            return (store, report, rejected);
+            return (store, report);
         }
         let Some(Value::List(entries)) = value.get("entries") else {
             report.quarantined = 1;
             report.reasons.push("cache header has no `entries` list".to_owned());
-            return (store, report, rejected);
+            return (store, report);
         };
         let mut sums = Vec::with_capacity(entries.len());
         for (idx, entry) in entries.iter().enumerate() {
@@ -662,7 +627,6 @@ impl CacheStore {
             else {
                 report.quarantined += 1;
                 report.reasons.push(format!("entry {idx}: malformed shape"));
-                rejected.push(entry.clone());
                 continue;
             };
             let expected = entry_sum(kind, key, owner, value);
@@ -672,7 +636,6 @@ impl CacheStore {
                     "entry {idx} ({} {key}, owner `{owner}`): checksum mismatch",
                     kind.tag()
                 ));
-                rejected.push(entry.clone());
                 continue;
             }
             sums.push(sum);
@@ -687,106 +650,7 @@ impl CacheStore {
                 "whole-file checksum mismatch; kept the individually verified entries".to_owned(),
             );
         }
-        (store, report, rejected)
-    }
-
-    fn file_of(dir: &Path) -> PathBuf {
-        dir.join(CACHE_FILE)
-    }
-
-    /// Loads the store persisted in `dir`, or an empty store when no cache
-    /// file exists yet, quarantining corrupt content. Convenience wrapper
-    /// over [`CacheStore::load_with_report`] that drops the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] only when the file cannot be *read*
-    /// (an environment problem). Corrupt content never errors: it is
-    /// moved to [`QUARANTINE_FILE`] and the affected entries recompute.
-    pub fn load(dir: impl AsRef<Path>) -> Result<CacheStore> {
-        Self::load_with_report(dir).map(|(store, _)| store)
-    }
-
-    /// Loads the store persisted in `dir`, reporting everything that had
-    /// to be quarantined to produce it.
-    ///
-    /// An unparsable `cache.json` is renamed wholesale to
-    /// [`QUARANTINE_FILE`] (counting as one quarantined item); a parsable
-    /// file with invalid entries has just those entries written there.
-    /// Either way the returned store contains only verified entries and
-    /// the run proceeds, recomputing what was dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] when the file exists but cannot be
-    /// read.
-    pub fn load_with_report(dir: impl AsRef<Path>) -> Result<(CacheStore, CacheLoadReport)> {
-        let dir = dir.as_ref();
-        let file = Self::file_of(dir);
-        if !file.exists() {
-            return Ok((CacheStore::new(), CacheLoadReport::default()));
-        }
-        let bytes = std::fs::read(&file)
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
-        // Invalid UTF-8 is corruption (a torn write or flipped bit), not
-        // an environmental failure — quarantine, like unparsable JSON.
-        let parsed = String::from_utf8(bytes)
-            .map_err(|e| e.to_string())
-            .and_then(|text| json::parse(&text).map_err(|e| e.to_string()));
-        let value = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                // The file is not even JSON: preserve the bytes for
-                // post-mortem and start cold.
-                let quarantine = dir.join(QUARANTINE_FILE);
-                rotate_quarantine(&quarantine);
-                if std::fs::rename(&file, &quarantine).is_err() {
-                    if let Ok(bytes) = std::fs::read(&file) {
-                        std::fs::write(&quarantine, bytes).ok();
-                    }
-                    std::fs::remove_file(&file).ok();
-                }
-                let report = CacheLoadReport {
-                    quarantined: 1,
-                    reasons: vec![format!(
-                        "{}: {e}; whole file moved to {QUARANTINE_FILE}",
-                        file.display()
-                    )],
-                };
-                return Ok((CacheStore::new(), report));
-            }
-        };
-        let (store, report, rejected) = Self::from_value_audited(&value);
-        if !rejected.is_empty() {
-            let quarantine = Value::record([
-                ("version", Value::Int(FORMAT_VERSION)),
-                (
-                    "reasons",
-                    Value::List(report.reasons.iter().map(|r| Value::from(r.as_str())).collect()),
-                ),
-                ("entries", Value::List(rejected)),
-            ]);
-            let target = dir.join(QUARANTINE_FILE);
-            rotate_quarantine(&target);
-            atomic_write(&target, &json::to_string(&quarantine)).ok();
-        }
-        Ok((store, report))
-    }
-
-    /// Persists the store into `dir` (created if missing) with an atomic
-    /// temp-file + fsync + rename write: a crash mid-save leaves the
-    /// previous cache intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] on I/O failure.
-    pub fn save(&self, dir: impl AsRef<Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", dir.display())))?;
-        let file = Self::file_of(dir);
-        atomic_write(&file, &json::to_string(&self.to_value()))
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))
+        (store, report)
     }
 }
 
@@ -799,27 +663,48 @@ mod tests {
         Hasher::new().write_str(text).finish()
     }
 
+    /// Writes `store` as a legacy v3 `cache.json` into `dir`.
+    fn write_legacy(dir: &Path, store: &CacheStore) {
+        std::fs::create_dir_all(dir).unwrap();
+        atomic_write(&dir.join(CACHE_FILE), &json::to_string(&store.to_value())).unwrap();
+    }
+
+    fn open(dir: &Path) -> (SharedStore, StoreRecovery) {
+        SharedStore::open_durable(dir, StoreOptions::default(), Telemetry::noop()).unwrap()
+    }
+
     #[test]
     fn roundtrips_through_value_and_disk() {
         let mut store = CacheStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.5f64, 2.5]).unwrap();
         store.put(ArtifactKind::GraphFacts, fp("b"), "top", &"facts".to_owned()).unwrap();
-        let back = CacheStore::from_value(&store.to_value());
+        let (back, _) = CacheStore::from_value_audited(&store.to_value());
         assert_eq!(back.len(), 2);
         assert_eq!(back.get::<Vec<f64>>(ArtifactKind::GraphRow, fp("a")), Some(vec![1.5, 2.5]));
         assert_eq!(back.get::<String>(ArtifactKind::GraphFacts, fp("b")), Some("facts".into()));
 
         let dir = std::env::temp_dir().join(format!("decisive_cache_{}", std::process::id()));
-        store.save(&dir).unwrap();
-        let loaded = CacheStore::load(&dir).unwrap();
-        assert_eq!(loaded.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+        write_legacy(&dir, &store);
+        let (log, _) =
+            SegmentStore::open(dir.join(STORE_DIR), StoreOptions::default(), Telemetry::noop())
+                .unwrap();
+        let (imported, report) = log.import_json(&dir.join(CACHE_FILE)).unwrap();
+        assert_eq!(imported, 2);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(log.export().to_value(), store.to_value(), "disk round trip is lossless");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_directory_loads_empty() {
-        let store = CacheStore::load("/definitely/not/here").unwrap();
-        assert!(store.is_empty());
+        let dir = std::env::temp_dir().join(format!("decisive_cache_new_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (shared, recovery) = open(&dir);
+        assert!(shared.is_empty());
+        assert!(recovery.is_clean(), "{recovery:?}");
+        assert_eq!(recovery.migrated_entries, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -851,21 +736,19 @@ mod tests {
         if let Value::Record(fields) = &mut value {
             fields[0].1 = Value::Int(999);
         }
-        assert!(CacheStore::from_value(&value).is_empty());
-        let (_, report, rejected) = CacheStore::from_value_audited(&value);
+        let (back, report) = CacheStore::from_value_audited(&value);
+        assert!(back.is_empty());
         assert_eq!(report.quarantined, 0, "stale format is cold, not corrupt");
         assert!(!report.is_clean(), "but the report notes it");
-        assert!(rejected.is_empty());
     }
 
     #[test]
     fn clean_roundtrip_report_is_clean() {
         let mut store = CacheStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        let (back, report, rejected) = CacheStore::from_value_audited(&store.to_value());
+        let (back, report) = CacheStore::from_value_audited(&store.to_value());
         assert_eq!(back.len(), 1);
         assert!(report.is_clean(), "{report:?}");
-        assert!(rejected.is_empty());
     }
 
     #[test]
@@ -891,22 +774,27 @@ mod tests {
                 }
             }
         }
-        let (back, report, rejected) = CacheStore::from_value_audited(&value);
+        let (back, report) = CacheStore::from_value_audited(&value);
         assert_eq!(back.len(), 1, "the intact entry survives");
         assert_eq!(report.quarantined, 1);
-        assert_eq!(rejected.len(), 1);
         assert!(report.reasons[0].contains("checksum mismatch"), "{:?}", report.reasons);
     }
 
     #[test]
     fn unparsable_file_quarantines_wholesale_and_loads_cold() {
         let dir = std::env::temp_dir().join(format!("decisive_cache_q_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(CACHE_FILE), "{definitely not json").unwrap();
-        let (store, report) = CacheStore::load_with_report(&dir).unwrap();
-        assert!(store.is_empty());
-        assert_eq!(report.quarantined, 1);
-        assert!(dir.join(QUARANTINE_FILE).exists(), "bytes preserved for post-mortem");
+        let (shared, recovery) = open(&dir);
+        assert!(shared.is_empty());
+        assert_eq!(recovery.quarantined_frames, 1);
+        assert!(!recovery.is_clean(), "the run reports the degradation");
+        assert_eq!(
+            std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap(),
+            "{definitely not json",
+            "bytes preserved for post-mortem"
+        );
         assert!(!dir.join(CACHE_FILE).exists(), "corrupt original moved away");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -914,21 +802,28 @@ mod tests {
     #[test]
     fn truncated_file_quarantines_and_next_save_recovers() {
         let dir = std::env::temp_dir().join(format!("decisive_cache_t_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let mut store = CacheStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.0f64]).unwrap();
-        store.save(&dir).unwrap();
+        write_legacy(&dir, &store);
         let full = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
         std::fs::write(dir.join(CACHE_FILE), &full[..full.len() / 2]).unwrap();
 
-        let (cold, report) = CacheStore::load_with_report(&dir).unwrap();
+        let (cold, recovery) = open(&dir);
         assert!(cold.is_empty());
-        assert!(!report.is_clean());
+        assert!(!recovery.is_clean());
 
-        // A fresh save over the quarantined state loads cleanly again.
-        store.save(&dir).unwrap();
-        let (warm, report) = CacheStore::load_with_report(&dir).unwrap();
-        assert_eq!(warm.len(), 1);
+        // Importing an intact snapshot over the quarantined state warms
+        // the store again.
+        let snapshot = dir.join("snapshot.json");
+        std::fs::write(&snapshot, &full).unwrap();
+        let (imported, report) = cold.durable().unwrap().import_json(&snapshot).unwrap();
+        assert_eq!(imported, 1);
         assert!(report.is_clean(), "{report:?}");
+        drop(cold);
+        let (warm, recovery) = open(&dir);
+        assert_eq!(warm.len(), 1);
+        assert!(recovery.is_clean(), "{recovery:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -966,28 +861,9 @@ mod tests {
         // addressing: same key, same artefact).
         assert_eq!(overlay.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(1));
 
-        // to_value persists only the overlay's own entries.
-        let persisted = CacheStore::from_value(&overlay.to_value());
-        assert_eq!(persisted.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_and_absorb_round_trip_the_shared_layer() {
-        let shared = SharedStore::new();
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared.clone());
-        overlay.put(ArtifactKind::MonitorSet, fp("m"), "model", &7i64).unwrap();
-
-        let snapshot = shared.snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert!(snapshot.shared().is_none(), "snapshots are detached");
-
-        let rebuilt = SharedStore::new();
-        assert_eq!(rebuilt.absorb(&snapshot), 1);
-        assert_eq!(rebuilt.absorb(&snapshot), 0, "absorb is idempotent");
-        let mut fresh = CacheStore::new();
-        fresh.attach_shared(rebuilt);
-        assert_eq!(fresh.get::<i64>(ArtifactKind::MonitorSet, fp("m")), Some(7));
+        // to_value exports only the overlay's own entries.
+        let (exported, _) = CacheStore::from_value_audited(&overlay.to_value());
+        assert_eq!(exported.len(), 1);
     }
 
     #[test]
@@ -996,9 +872,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         for round in 0..8 {
+            // A store-less directory each round, so the legacy file is
+            // always a first-open migration candidate.
+            std::fs::remove_dir_all(dir.join(STORE_DIR)).ok();
             std::fs::write(dir.join(CACHE_FILE), format!("{{corrupt event {round}")).unwrap();
-            let (_, report) = CacheStore::load_with_report(&dir).unwrap();
-            assert_eq!(report.quarantined, 1, "round {round}");
+            let (_, recovery) = open(&dir);
+            assert_eq!(recovery.quarantined_frames, 1, "round {round}");
         }
         let base = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
         assert!(base.contains("event 7"), "base name holds the newest evidence");
@@ -1012,8 +891,7 @@ mod tests {
     fn durable_shared_layer_round_trips_across_opens() {
         let dir = std::env::temp_dir().join(format!("decisive_cache_dur_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        let (shared, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert!(shared.is_durable());
         let mut overlay = CacheStore::new();
@@ -1022,8 +900,7 @@ mod tests {
         overlay.sync_durable().unwrap();
         drop((overlay, shared));
 
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        let (shared, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(shared.len(), 1);
         let mut fresh = CacheStore::new();
@@ -1040,10 +917,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let mut legacy = CacheStore::new();
         legacy.put(ArtifactKind::MonitorSet, fp("m"), "model", &7i64).unwrap();
-        legacy.save(&dir).unwrap();
+        write_legacy(&dir, &legacy);
 
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        let (shared, recovery) = open(&dir);
         assert_eq!(recovery.migrated_entries, 1);
         assert!(recovery.is_clean(), "clean migration is routine, not degraded: {recovery:?}");
         assert!(!dir.join(CACHE_FILE).exists(), "legacy file retired");
@@ -1056,9 +932,8 @@ mod tests {
         // re-imported — the log is authoritative.
         let mut stray = CacheStore::new();
         stray.put(ArtifactKind::MonitorSet, fp("other"), "model", &9i64).unwrap();
-        stray.save(&dir).unwrap();
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        write_legacy(&dir, &stray);
+        let (shared, recovery) = open(&dir);
         assert_eq!(recovery.migrated_entries, 0);
         assert_eq!(shared.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1067,19 +942,19 @@ mod tests {
     #[test]
     fn save_leaves_no_temp_file_behind() {
         let dir = std::env::temp_dir().join(format!("decisive_cache_a_{}", std::process::id()));
-        let mut store = CacheStore::new();
-        store.put(ArtifactKind::GraphFacts, fp("x"), "top", &"facts".to_owned()).unwrap();
-        store.save(&dir).unwrap();
-        assert!(dir.join(CACHE_FILE).exists());
-        assert!(!dir.join(format!("{CACHE_FILE}.tmp")).exists());
-        // A stale temp file from a killed run does not disturb loads and
-        // is replaced by the next save.
-        std::fs::write(dir.join(format!("{CACHE_FILE}.tmp")), "torn half-write").unwrap();
-        let (loaded, report) = CacheStore::load_with_report(&dir).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(report.is_clean());
-        store.save(&dir).unwrap();
-        assert!(!dir.join(format!("{CACHE_FILE}.tmp")).exists());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("doc.json");
+        let tmp = dir.join("doc.json.tmp");
+        atomic_write(&file, "first").unwrap();
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "first");
+        assert!(!tmp.exists());
+        // A stale temp file from a killed write is replaced by the next
+        // one, never left behind or read.
+        std::fs::write(&tmp, "torn half-write").unwrap();
+        atomic_write(&file, "second").unwrap();
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "second");
+        assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,6 +8,12 @@
 //! methods below are thin wrappers that run one pass on its own, while
 //! [`Engine::run_pipeline`] (in [`crate::pipeline`]) executes the whole
 //! DAG with cross-pass parallelism.
+//!
+//! Engines are built only through [`Engine::builder`]. With
+//! [`EngineBuilder::cache_dir`] the cache persists through the segmented
+//! store — the one persistence path — and nothing else is written: every
+//! report, campaign health included, is derived from this engine's own
+//! runs.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,10 +41,13 @@ use crate::pass::{
     PassArtifact, PipelineInput, RecommendPass,
 };
 use crate::pipeline::Pipeline;
-use crate::scheduler::RetryPolicy;
 use crate::stats::EngineStats;
 
-/// Engine configuration.
+/// Engine configuration, set through [`EngineBuilder`]. Jobs that panic
+/// are retried under the scheduler's default [`RetryPolicy`] (once,
+/// immediately).
+///
+/// [`RetryPolicy`]: crate::scheduler::RetryPolicy
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Worker threads for job batches; `1` runs inline.
@@ -49,10 +58,6 @@ pub struct EngineConfig {
     /// keep their results but are classified as timed-out in the phase
     /// stats and the degraded-mode report. `None` disables the deadline.
     pub deadline_ms: Option<f64>,
-    /// How panicking jobs are retried (see
-    /// [`crate::scheduler::RetryPolicy`]). The default reproduces the
-    /// historical retry-once-immediately behaviour exactly.
-    pub retry: RetryPolicy,
 }
 
 impl Default for EngineConfig {
@@ -61,37 +66,9 @@ impl Default for EngineConfig {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             graph: GraphConfig::default(),
             deadline_ms: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
-
-impl EngineConfig {
-    /// A configuration with an explicit worker count.
-    pub fn with_jobs(jobs: usize) -> Self {
-        EngineConfig { jobs: jobs.max(1), ..EngineConfig::default() }
-    }
-
-    /// Sets the per-job deadline (see [`EngineConfig::deadline_ms`]).
-    pub fn with_deadline_ms(mut self, ms: f64) -> Self {
-        self.deadline_ms = Some(ms.max(0.0));
-        self
-    }
-
-    /// Sets the retry policy (see [`EngineConfig::retry`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-}
-
-/// File name of the persisted campaign-health report inside a cache
-/// directory, written next to [`crate::cache::CACHE_FILE`].
-pub const CAMPAIGN_FILE: &str = "campaign.json";
-
-/// Quarantine destination of a malformed [`CAMPAIGN_FILE`]: the bytes are
-/// preserved for post-mortem and the report restarts cold.
-pub const CAMPAIGN_QUARANTINE_FILE: &str = "campaign.quarantine.json";
 
 /// Quantified fault subtree of one container (see `Engine::analyze_fta`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,23 +86,23 @@ pub struct FtaSubtreeSummary {
     pub minimal_cut_sets: Vec<Vec<String>>,
 }
 
-/// The incremental analysis engine.
+/// The incremental analysis engine, built with [`Engine::builder`].
 ///
 /// # Examples
 ///
 /// ```
 /// use decisive_core::case_study;
-/// use decisive_engine::{Engine, EngineConfig};
+/// use decisive_engine::Engine;
 ///
 /// let (model, top) = case_study::ssam_model();
-/// let mut engine = Engine::new(EngineConfig::with_jobs(2));
+/// let mut engine = Engine::builder().jobs(2).build().unwrap();
 /// let cold = engine.analyze_graph(&model, top).unwrap();
 /// let warm = engine.analyze_graph(&model, top).unwrap();
 /// assert_eq!(cold, warm);
 /// let rows = engine.stats().phase("graph-rows").unwrap();
 /// assert_eq!(rows.cache_misses, 0, "second run is fully cached");
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Engine {
     pub(crate) config: EngineConfig,
     pub(crate) cache: CacheStore,
@@ -135,9 +112,8 @@ pub struct Engine {
     pub(crate) telemetry: Telemetry,
 }
 
-/// Step-by-step [`Engine`] construction — the documented way to configure
-/// an engine. `Engine::new` / `Engine::with_cache` remain as thin
-/// shortcuts for the no-frills cases.
+/// Step-by-step [`Engine`] construction — the only way to build an
+/// engine.
 ///
 /// # Examples
 ///
@@ -160,7 +136,6 @@ pub struct Engine {
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
-    cache: Option<CacheStore>,
     cache_dir: Option<std::path::PathBuf>,
     shared: Option<SharedStore>,
     telemetry: Telemetry,
@@ -185,29 +160,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the job retry policy (see [`EngineConfig::retry`]).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Replaces the whole configuration (for callers that already hold an
-    /// [`EngineConfig`]). Field-level setters called afterwards still
-    /// apply.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Starts from a hand-built cache instead of an empty one.
-    pub fn cache(mut self, cache: CacheStore) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Loads the persisted cache (and campaign report) from `dir` at
-    /// [`EngineBuilder::build`] time — the builder equivalent of
-    /// [`Engine::load_cache`]. Overrides [`EngineBuilder::cache`].
+    /// Persists the cache in `dir`: at [`EngineBuilder::build`] time the
+    /// segmented store under `dir/store/` is opened (and recovered) as a
+    /// durable shared layer, so every completed pass is on disk before it
+    /// reports done and later engines over `dir` start warm.
     pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -217,7 +173,8 @@ impl EngineBuilder {
     /// the engine's own cache becomes a private overlay, falling back to
     /// (and publishing into) the shared layer, so sibling engines built
     /// over the same store deduplicate artefacts by fingerprint. This is
-    /// how the analysis daemon multiplexes sessions.
+    /// how the analysis daemon multiplexes sessions. The store carries
+    /// its own persistence, so it excludes [`EngineBuilder::cache_dir`].
     pub fn shared_store(mut self, shared: SharedStore) -> Self {
         self.shared = Some(shared);
         self
@@ -230,24 +187,29 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, loading the persisted cache when
+    /// Builds the engine, opening the durable store when
     /// [`EngineBuilder::cache_dir`] was set.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Cache`] when the cache directory exists but
-    /// cannot be read (corruption is quarantined, not fatal — see
-    /// [`Engine::load_cache`]).
+    /// [`EngineError::Config`] when both a cache directory and a shared
+    /// store were given; [`EngineError::Store`] when the cache directory
+    /// cannot be opened (corruption is quarantined and reported in
+    /// [`Engine::degraded_report`], not fatal — see
+    /// [`SharedStore::open_durable`]).
     pub fn build(self) -> Result<Engine> {
-        let mut engine = Engine::with_cache(self.config, self.cache.unwrap_or_default());
+        let mut engine = Engine::cold(self.config);
         engine.telemetry = self.telemetry;
-        match (self.cache_dir, self.shared) {
+        let shared = match (self.cache_dir, self.shared) {
+            (Some(_), Some(_)) => {
+                return Err(EngineError::Config(
+                    "a cache directory and a shared store are mutually exclusive".to_owned(),
+                ))
+            }
             (Some(dir), None) => {
-                // The durable path: persistence lives in the segmented
-                // append-only store under `dir/store/`, recovered by one
-                // index scan (values load lazily on first hit) instead of
-                // a wholesale JSON parse. A legacy `cache.json` migrates
-                // into the log on the first such open.
+                // A store recovered by one index scan: values load lazily
+                // on first hit. A legacy `cache.json` migrates into the
+                // log on the first open.
                 let (shared, recovery) = SharedStore::open_durable(
                     &dir,
                     crate::store::StoreOptions::default(),
@@ -256,42 +218,30 @@ impl EngineBuilder {
                 engine.stats.quarantined_entries += recovery.quarantined_frames;
                 engine.degraded.quarantined_cache_entries += recovery.quarantined_frames;
                 engine.degraded.notes.extend(recovery.notes.iter().cloned());
-                engine.load_campaign(&dir)?;
-                engine.cache.attach_shared(shared);
+                Some(shared)
             }
-            (Some(dir), Some(shared)) => {
-                // An explicit shared layer supplies its own persistence;
-                // the cache dir then loads the legacy wholesale JSON.
-                // Attached last: `load_cache` replaces the store
-                // wholesale, which would detach the shared layer.
-                engine.load_cache(&dir)?;
-                engine.cache.attach_shared(shared);
-            }
-            (None, Some(shared)) => engine.cache.attach_shared(shared),
-            (None, None) => {}
+            (None, shared) => shared,
+        };
+        if let Some(shared) = shared {
+            engine.cache.attach_shared(shared);
         }
         Ok(engine)
     }
 }
 
 impl Engine {
-    /// The builder — the single documented construction path; see
-    /// [`EngineBuilder`].
+    /// The builder — the single construction path; see [`EngineBuilder`].
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
 
-    /// An engine with an empty cache (shortcut over [`Engine::builder`]).
-    pub fn new(config: EngineConfig) -> Self {
-        Engine::with_cache(config, CacheStore::new())
-    }
-
-    /// An engine starting from a previously persisted (or hand-built)
-    /// cache (shortcut over [`Engine::builder`]).
-    pub fn with_cache(config: EngineConfig, cache: CacheStore) -> Self {
+    /// An engine over an empty in-memory cache with no telemetry: what
+    /// [`EngineBuilder::build`] starts from, and the cold reference of
+    /// [`Engine::verify_pipeline_against_full`].
+    pub(crate) fn cold(config: EngineConfig) -> Engine {
         Engine {
             config,
-            cache,
+            cache: CacheStore::new(),
             stats: EngineStats::default(),
             last_campaign: None,
             degraded: DegradedModeReport::new(),
@@ -335,14 +285,16 @@ impl Engine {
     }
 
     /// The cross-session shared store this engine's cache is layered
-    /// over, if one was attached via [`EngineBuilder::shared_store`].
+    /// over: the one given to [`EngineBuilder::shared_store`], or the
+    /// durable store opened for [`EngineBuilder::cache_dir`].
     pub fn shared_store(&self) -> Option<&SharedStore> {
         self.cache.shared()
     }
 
     /// The health report of the most recent supervised injection campaign
-    /// ([`Engine::analyze_injection`]), whether it ran cold, warm, or was
-    /// restored by [`Engine::load_cache`]. `None` before any campaign.
+    /// this engine ran ([`Engine::analyze_injection`]), cold or served
+    /// from cached outcomes. `None` before any campaign: the report
+    /// describes this engine's runs, never an earlier process's.
     pub fn campaign_health(&self) -> Option<&CampaignHealth> {
         self.last_campaign.as_ref()
     }
@@ -358,90 +310,6 @@ impl Engine {
     /// loaded leniently.
     pub fn degraded_report_mut(&mut self) -> &mut DegradedModeReport {
         &mut self.degraded
-    }
-
-    /// Loads the cache persisted in `dir` (empty when absent), restoring
-    /// the campaign-health report persisted next to it when present.
-    ///
-    /// Corruption is not fatal: cache entries failing validation are
-    /// quarantined and recomputed ([`CacheStore::load_with_report`]), and
-    /// a malformed campaign report is moved to
-    /// [`CAMPAIGN_QUARANTINE_FILE`]. Both are recorded in
-    /// [`Engine::degraded_report`] and the engine stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] only on unreadable files (I/O
-    /// failures, not corruption).
-    pub fn load_cache(&mut self, dir: impl AsRef<std::path::Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        let (cache, report) = CacheStore::load_with_report(dir)?;
-        self.cache = cache;
-        self.stats.quarantined_entries += report.quarantined;
-        self.degraded.quarantined_cache_entries += report.quarantined;
-        self.degraded.notes.extend(report.reasons);
-        self.load_campaign(dir)
-    }
-
-    /// Restores the campaign-health report persisted in `dir`, if any. A
-    /// malformed report is quarantined (earlier quarantine evidence is
-    /// rotated aside, never clobbered), not fatal: like the cache itself,
-    /// campaign history may be cold but never wrong.
-    fn load_campaign(&mut self, dir: &std::path::Path) -> Result<()> {
-        let file = dir.join(CAMPAIGN_FILE);
-        if file.exists() {
-            let bytes = std::fs::read(&file)
-                .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
-            let restored: Option<CampaignHealth> = String::from_utf8(bytes.clone())
-                .ok()
-                .and_then(|text| decisive_federation::json::parse(&text).ok())
-                .and_then(|value| decisive_federation::serde_bridge::from_value(&value).ok());
-            match restored {
-                Some(health) => self.last_campaign = Some(health),
-                None => {
-                    let quarantine = dir.join(CAMPAIGN_QUARANTINE_FILE);
-                    crate::cache::rotate_quarantine(&quarantine);
-                    if std::fs::rename(&file, &quarantine).is_err() {
-                        let _ = std::fs::write(&quarantine, &bytes);
-                        let _ = std::fs::remove_file(&file);
-                    }
-                    self.degraded.notes.push(format!(
-                        "campaign report `{}` was malformed; moved to `{CAMPAIGN_QUARANTINE_FILE}`",
-                        file.display()
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Persists the cache into `dir`, along with the latest campaign-health
-    /// report (as [`CAMPAIGN_FILE`]) when an injection campaign has run.
-    /// Both files are written atomically (temp file + fsync + rename), so
-    /// a crash mid-save leaves the previous files intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] on I/O failure.
-    pub fn save_cache(&self, dir: impl AsRef<std::path::Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        if self.cache.shared().is_some_and(SharedStore::is_durable) {
-            // A durable engine persisted every pass incrementally through
-            // the segmented store; "save" is just the commit fsync. The
-            // v3 JSON file is not rewritten (`decisive store export`
-            // produces portable snapshots).
-            self.cache.sync_durable()?;
-        } else {
-            self.cache.save(dir)?;
-        }
-        if let Some(health) = &self.last_campaign {
-            let value = decisive_federation::serde_bridge::to_value(health)
-                .map_err(|e| EngineError::Cache(format!("unserialisable campaign report: {e}")))?;
-            let file = dir.join(CAMPAIGN_FILE);
-            crate::cache::atomic_write(&file, &decisive_federation::json::to_string(&value))
-                .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
-        }
-        Ok(())
     }
 
     /// Runs `pass` and unwraps its artefact through `extract`, failing
@@ -667,7 +535,7 @@ mod tests {
     #[test]
     fn incremental_equals_full_on_the_case_study() {
         let (model, top) = case_study::ssam_model();
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
+        let mut engine = Engine::builder().jobs(1).build().unwrap();
         let table = engine.verify_against_full(&model, top).unwrap();
         assert!((table.spfm() - 0.0538).abs() < 5e-4);
     }
@@ -676,7 +544,7 @@ mod tests {
     fn fit_edit_reruns_exactly_one_row_job() {
         let (old, old_top) = case_study::ssam_model();
         let (mut new, new_top) = case_study::ssam_model();
-        let mut engine = Engine::new(EngineConfig::with_jobs(2));
+        let mut engine = Engine::builder().jobs(2).build().unwrap();
         engine.analyze_graph(&old, old_top).unwrap();
 
         let d1 = new.component_by_name("D1").unwrap();
@@ -709,9 +577,17 @@ mod tests {
     }
 
     #[test]
+    fn cache_dir_and_shared_store_are_mutually_exclusive() {
+        let dir = std::env::temp_dir().join(format!("decisive_engine_both_{}", std::process::id()));
+        let err = Engine::builder().cache_dir(&dir).shared_store(SharedStore::new()).build();
+        assert!(matches!(err, Err(EngineError::Config(_))), "{err:?}");
+        assert!(!dir.exists(), "the conflict is caught before anything is opened");
+    }
+
+    #[test]
     fn reset_run_state_keeps_the_cache_warm() {
         let (model, top) = case_study::ssam_model();
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
+        let mut engine = Engine::builder().jobs(1).build().unwrap();
         engine.analyze_graph(&model, top).unwrap();
         engine.reset_run_state();
         assert!(engine.stats().phases.is_empty());
@@ -723,7 +599,7 @@ mod tests {
     #[test]
     fn monitor_set_round_trips_through_the_cache() {
         let (model, _) = case_study::ssam_model();
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
+        let mut engine = Engine::builder().jobs(1).build().unwrap();
         let cold = engine.monitors(&model).unwrap();
         assert!(!cold.checks().is_empty());
         let warm = engine.monitors(&model).unwrap();
@@ -734,7 +610,7 @@ mod tests {
     #[test]
     fn fta_subtrees_cache_by_content() {
         let (model, top) = case_study::ssam_model();
-        let mut engine = Engine::new(EngineConfig::with_jobs(2));
+        let mut engine = Engine::builder().jobs(2).build().unwrap();
         let cold = engine.analyze_fta(&model, top, 10_000.0).unwrap();
         assert!(cold.iter().any(|s| s.analysable));
         let warm = engine.analyze_fta(&model, top, 10_000.0).unwrap();

@@ -19,7 +19,11 @@ pub enum EngineError {
     },
     /// The run was cancelled through its [`crate::scheduler::CancelToken`].
     Cancelled,
-    /// Cache persistence failed (I/O, parse, or serialisation).
+    /// An engine was built from conflicting settings (see
+    /// [`crate::EngineBuilder::build`]).
+    Config(String),
+    /// A cache document could not be used: an artefact failed to
+    /// serialise, or a v3 JSON document did not parse.
     Cache(String),
     /// The segmented artifact store failed (I/O on append, fsync, or
     /// manifest swap). Corruption never raises this — it quarantines.
@@ -41,6 +45,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "job {index} of phase `{phase}` panicked twice; giving up")
             }
             EngineError::Cancelled => write!(f, "analysis cancelled"),
+            EngineError::Config(message) => write!(f, "engine configuration: {message}"),
             EngineError::Cache(message) => write!(f, "cache: {message}"),
             EngineError::Store(message) => write!(f, "artifact store: {message}"),
             EngineError::Verification(message) => {

@@ -12,9 +12,11 @@
 //!
 //! - [`fingerprint`] — the stable 64-bit content hasher;
 //! - [`model_fp`] — what gets hashed for each artefact kind;
-//! - [`cache`] — the content-addressed store plus JSON persistence;
+//! - [`cache`] — the content-addressed store and the v3 JSON exchange
+//!   codec;
 //! - [`store`] — the crash-safe segmented append-only log behind durable
-//!   [`SharedStore`]s (incremental durability, frame-level quarantine);
+//!   [`SharedStore`]s — the one persistence path (incremental
+//!   durability, frame-level quarantine);
 //! - [`scheduler`] — the deterministic parallel job runner;
 //! - [`stats`] — per-phase observability counters;
 //! - [`pass`] — the typed [`AnalysisPass`] abstraction: each analysis
@@ -39,7 +41,7 @@ pub mod stats;
 pub mod store;
 
 pub use cache::{atomic_write, ArtifactKind, CacheStore, SharedStore};
-pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary, CAMPAIGN_FILE};
+pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary};
 
 /// The telemetry substrate, re-exported so engine users configure
 /// [`EngineBuilder::telemetry`] without a separate dependency.

@@ -481,9 +481,7 @@ impl<'a> PassContext<'a> {
     }
 
     fn scheduler(&self, label: &str) -> Scheduler {
-        let scheduler = Scheduler::new(self.workers)
-            .with_telemetry(self.telemetry.clone(), label)
-            .with_retry(self.config.retry.clone());
+        let scheduler = Scheduler::new(self.workers).with_telemetry(self.telemetry.clone(), label);
         match self.config.deadline_ms {
             Some(ms) => scheduler.with_deadline_ms(ms),
             None => scheduler,

@@ -511,7 +511,7 @@ impl Engine {
         input: &PipelineInput<'_>,
     ) -> Result<PipelineRun> {
         let warm = self.run_pipeline(pipeline, input)?;
-        let mut cold_engine = Engine::new(self.config().clone());
+        let mut cold_engine = Engine::cold(self.config().clone());
         let cold = cold_engine.run_pipeline(pipeline, input)?;
         for (id, artifact) in warm.artifacts() {
             let reference = cold.artifact(id).ok_or_else(|| {

@@ -48,7 +48,7 @@ use std::time::Instant;
 use decisive_federation::{json, Value};
 use decisive_obs::Telemetry;
 
-use crate::cache::{atomic_write, rotate_quarantine, ArtifactKind, CacheStore};
+use crate::cache::{atomic_write, rotate_quarantine, ArtifactKind, CacheLoadReport, CacheStore};
 use crate::error::{EngineError, Result};
 use crate::fingerprint::Fingerprint;
 
@@ -868,8 +868,8 @@ impl SegmentStore {
         out
     }
 
-    /// Appends every entry of a v3 store into the log and syncs — the
-    /// `decisive store import` / legacy-migration path.
+    /// Appends every entry of a store into the log and syncs; returns
+    /// how many were appended.
     ///
     /// # Errors
     ///
@@ -882,6 +882,29 @@ impl SegmentStore {
         }
         self.sync()?;
         Ok(imported)
+    }
+
+    /// Reads the v3 JSON document at `path`, audits it
+    /// ([`CacheStore::from_value_audited`]) and imports its verified
+    /// entries — the one path behind `decisive store import` and the
+    /// legacy `cache.json` migration. Returns how many entries were
+    /// imported and the audit report of those skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cache`] when the bytes are not a JSON document
+    /// (nothing is imported); [`EngineError::Store`] on I/O failure.
+    pub fn import_json(&self, path: &Path) -> Result<(usize, CacheLoadReport)> {
+        let bytes = std::fs::read(path)
+            .map_err(|e| EngineError::Store(format!("{}: {e}", path.display())))?;
+        // Invalid UTF-8 is corruption (a torn write or flipped bit), not
+        // an environmental failure — the same class as unparsable JSON.
+        let value = String::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text).map_err(|e| e.to_string()))
+            .map_err(|e| EngineError::Cache(format!("{}: {e}", path.display())))?;
+        let (store, report) = CacheStore::from_value_audited(&value);
+        Ok((self.import(&store)?, report))
     }
 }
 

@@ -1,18 +1,20 @@
-//! Crash-safety properties of the persisted cache (ISSUE: kill-safety).
+//! Crash-safety properties of a persisted cache directory.
 //!
-//! Whatever state a killed run leaves behind — truncated files, flipped
-//! bits, plain garbage, stale temp files — the next run must never
+//! Whatever state a killed run leaves behind — a mangled legacy
+//! `cache.json` awaiting migration, stale temp files, a half-written
+//! manifest swap — the next engine built over the directory must never
 //! panic, must quarantine-and-recompute instead of analysing with bad
 //! data, and must produce exactly the table a cold run produces.
+//! (Frame-level faults inside the segmented store itself are covered by
+//! `store_faults.rs`.)
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use decisive_core::campaign::{CampaignHealth, CaseOutcome, CaseReport};
-use decisive_engine::cache::QUARANTINE_FILE;
-use decisive_engine::{Engine, EngineConfig, CAMPAIGN_FILE};
+use decisive_engine::cache::{CACHE_FILE, QUARANTINE_FILE};
+use decisive_engine::{Engine, MANIFEST_FILE, STORE_DIR};
 use decisive_workload::sets::chain_model;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -82,110 +84,99 @@ fn arb_corruption() -> impl Strategy<Value = Corruption> {
     ]
 }
 
-/// Seeds `dir` with a valid persisted cache and returns the expected
-/// analysis table.
-fn seed_cache(dir: &Path) -> decisive_core::fmea::FmeaTable {
+/// The table a cold run of the test model produces, and the v3 JSON
+/// export of the cache that run filled.
+fn cold_run() -> (decisive_core::fmea::FmeaTable, String) {
     let (model, top) = chain_model(4);
-    let mut engine = Engine::new(EngineConfig::with_jobs(1));
+    let mut engine = Engine::builder().jobs(1).build().expect("engine builds");
     let table = engine.analyze_graph(&model, top).expect("seed analysis");
-    engine.save_cache(dir).expect("seed save");
-    table
+    (table, decisive_federation::json::to_string(&engine.cache().to_value()))
+}
+
+/// Seeds `dir` with a committed segmented store and returns the expected
+/// analysis table.
+fn seed_store(dir: &Path) -> decisive_core::fmea::FmeaTable {
+    let (model, top) = chain_model(4);
+    let mut engine = Engine::builder().jobs(1).cache_dir(dir).build().expect("engine builds");
+    engine.analyze_graph(&model, top).expect("seed analysis")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Corrupting `cache.json` arbitrarily never panics the next load,
-    /// and the recomputed analysis equals a cold run bit for bit
-    /// (`verify_against_full` cross-checks against the from-scratch
-    /// algorithm).
+    /// Corrupting a legacy `cache.json` arbitrarily never panics its
+    /// migration into the store, and the recomputed analysis equals a
+    /// cold run bit for bit (`verify_against_full` cross-checks against
+    /// the from-scratch algorithm).
     #[test]
     fn corrupted_cache_recovers_to_cold_run(corruption in arb_corruption()) {
         let dir = TempDir::new("cache");
-        let expected = seed_cache(dir.path());
-        let file = dir.path().join("cache.json");
-        let bytes = std::fs::read(&file).expect("read seed");
-        std::fs::write(&file, corruption.apply(&bytes)).expect("corrupt");
+        let (expected, legacy) = cold_run();
+        let corrupted = corruption.apply(legacy.as_bytes());
+        std::fs::write(dir.path().join(CACHE_FILE), &corrupted).expect("corrupt");
 
         let (model, top) = chain_model(4);
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
-        engine.load_cache(dir.path()).expect("corruption is never fatal");
+        let mut engine = Engine::builder()
+            .jobs(1)
+            .cache_dir(dir.path())
+            .build()
+            .expect("corruption is never fatal");
         let table = engine.verify_against_full(&model, top).expect("recomputed run verifies");
         prop_assert_eq!(table, expected);
-        // Valid prior state is never silently lost: anything rejected is
-        // preserved in the quarantine file.
-        if engine.degraded_report().quarantined_cache_entries > 0 {
-            prop_assert!(dir.path().join(QUARANTINE_FILE).exists());
-        }
+        // Prior state is never silently lost: the legacy bytes are kept,
+        // retired after the import or quarantined when they did not parse.
+        prop_assert!(!dir.path().join(CACHE_FILE).exists());
+        let kept = [format!("{CACHE_FILE}.imported"), QUARANTINE_FILE.to_owned()]
+            .iter()
+            .filter_map(|name| std::fs::read(dir.path().join(name)).ok())
+            .collect::<Vec<_>>();
+        prop_assert_eq!(kept, vec![corrupted]);
     }
 
-    /// Corrupting `campaign.json` never panics and never fails the load:
-    /// the report is either restored intact or quarantined.
-    #[test]
-    fn corrupted_campaign_report_is_quarantined(corruption in arb_corruption()) {
-        let dir = TempDir::new("campaign");
-        seed_cache(dir.path());
-        let health = CampaignHealth::from_reports(&[CaseReport {
-            case: "D1/Open".to_owned(),
-            outcome: CaseOutcome::Converged,
-            iterations: 3,
-            wall_ms: 1.0,
-        }]);
-        let value = decisive_federation::serde_bridge::to_value(&health).expect("serialise");
-        let text = decisive_federation::json::to_string(&value);
-        let file = dir.path().join(CAMPAIGN_FILE);
-        std::fs::write(&file, corruption.apply(text.as_bytes())).expect("corrupt");
-
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
-        engine.load_cache(dir.path()).expect("corruption is never fatal");
-        match engine.campaign_health() {
-            Some(restored) => prop_assert_eq!(restored.total, 1),
-            None => {
-                // The malformed bytes were moved aside and noted.
-                prop_assert!(dir.path().join("campaign.quarantine.json").exists());
-                prop_assert!(engine.degraded_report().is_degraded());
-            }
-        }
-    }
-
-    /// A stale temp file from a killed save never shadows or destroys the
-    /// committed state, and the next save still lands atomically.
+    /// Stale temp files from a killed write never shadow or destroy the
+    /// committed store, and the next manifest swap still lands
+    /// atomically.
     #[test]
     fn stale_temp_files_are_harmless(junk in "[ -~]{0,64}") {
         let dir = TempDir::new("tmp");
-        let expected = seed_cache(dir.path());
-        std::fs::write(dir.path().join("cache.json.tmp"), &junk).expect("stale tmp");
-        std::fs::write(dir.path().join("campaign.json.tmp"), &junk).expect("stale tmp");
+        let expected = seed_store(dir.path());
+        let manifest_tmp = dir.path().join(STORE_DIR).join(format!("{MANIFEST_FILE}.tmp"));
+        std::fs::write(dir.path().join(format!("{CACHE_FILE}.tmp")), &junk).expect("stale tmp");
+        std::fs::write(&manifest_tmp, &junk).expect("stale tmp");
 
         let (model, top) = chain_model(4);
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
-        engine.load_cache(dir.path()).expect("load ignores temp files");
+        let mut engine =
+            Engine::builder().jobs(1).cache_dir(dir.path()).build().expect("open ignores temp files");
         prop_assert!(!engine.degraded_report().is_degraded(), "committed state is intact");
         let table = engine.analyze_graph(&model, top).expect("warm run");
         prop_assert_eq!(&table, &expected);
-        engine.save_cache(dir.path()).expect("save replaces stale tmp");
-        prop_assert!(!dir.path().join("cache.json.tmp").exists(), "save leaves no temp file");
+        prop_assert_eq!(engine.stats().phase("graph-rows").expect("phase").cache_misses, 0);
+        let store = engine.shared_store().and_then(|s| s.durable()).expect("durable store");
+        store.compact().expect("compaction swaps the manifest");
+        prop_assert!(!manifest_tmp.exists(), "the swap leaves no temp file");
     }
 }
 
-/// An interrupted save (temp file written, rename never happened) leaves
-/// the previous cache fully intact — deterministic end-to-end check of
-/// the kill-safety acceptance criterion.
+/// An interrupted manifest swap (temp file written, rename never
+/// happened) leaves the committed store fully intact — deterministic
+/// end-to-end check of the kill-safety acceptance criterion.
 #[test]
 fn interrupted_save_preserves_previous_cache() {
     let dir = TempDir::new("interrupted");
-    let expected = seed_cache(dir.path());
-    // Simulate a crash mid-save: a half-written temp file next to the
-    // committed cache.
-    std::fs::write(dir.path().join("cache.json.tmp"), "{\"version\":3,\"ent").expect("tmp");
+    let expected = seed_store(dir.path());
+    // Simulate a crash mid-swap: a half-written manifest temp file next
+    // to the committed one.
+    std::fs::write(
+        dir.path().join(STORE_DIR).join(format!("{MANIFEST_FILE}.tmp")),
+        "{\"version\":1,\"gener",
+    )
+    .expect("tmp");
 
     let (model, top) = chain_model(4);
-    let mut engine = Engine::new(EngineConfig::with_jobs(1));
-    engine.load_cache(dir.path()).expect("load");
-    assert!(!engine.cache().is_empty(), "previous cache survives the crash");
+    let mut engine = Engine::builder().jobs(1).cache_dir(dir.path()).build().expect("open");
     assert!(!engine.degraded_report().is_degraded());
     let table = engine.verify_against_full(&model, top).expect("verify");
     assert_eq!(table, expected);
     let warm = engine.stats().phase("graph-rows").expect("phase");
-    assert_eq!(warm.cache_misses, 0, "warm run is served entirely from the surviving cache");
+    assert_eq!(warm.cache_misses, 0, "warm run is served entirely from the surviving store");
 }

@@ -21,8 +21,8 @@ use decisive_core::fmea::graph::{self, GraphConfig};
 use decisive_core::fmea::injection::InjectionConfig;
 use decisive_core::reliability::ReliabilityDb;
 use decisive_engine::{
-    AnalysisPass, Engine, EngineConfig, InjectionFmeaPass, MonteCarloPass, PassArtifact,
-    PassContext, Pipeline, PipelineInput, RecommendPass,
+    AnalysisPass, Engine, InjectionFmeaPass, MonteCarloPass, PassArtifact, PassContext, Pipeline,
+    PipelineInput, RecommendPass,
 };
 use decisive_federation::Value;
 use decisive_ssam::architecture::Fit;
@@ -48,7 +48,7 @@ proptest! {
         jobs in 1usize..5,
     ) {
         let (model, top) = chain_model(n);
-        let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+        let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
         let cold = engine.analyze_graph(&model, top).expect("cold wrapper run");
         prop_assert_eq!(&cold, &graph::run(&model, top, &GraphConfig::default()).unwrap());
 
@@ -107,7 +107,7 @@ fn diamond_dag_respects_dependencies_under_any_worker_count() {
             .with(probe("b", vec!["a"]))
             .with(probe("a", vec![]))
             .with(probe("c", vec!["a"]));
-        let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+        let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
         let run = engine.run_pipeline(&pipeline, &PipelineInput::new()).expect("diamond runs");
 
         let order = log.lock().unwrap().clone();
@@ -135,7 +135,7 @@ fn unknown_dependency_is_rejected_before_execution() {
         deps: vec!["ghost"],
         log: Arc::clone(&log),
     });
-    let mut engine = Engine::new(EngineConfig::with_jobs(1));
+    let mut engine = Engine::builder().jobs(1).build().expect("engine builds");
     let err = engine.run_pipeline(&pipeline, &PipelineInput::new()).unwrap_err();
     assert!(err.to_string().contains("ghost"), "error names the missing dependency: {err}");
     assert!(log.lock().unwrap().is_empty(), "nothing ran");
@@ -152,7 +152,7 @@ fn unknown_dependency_is_rejected_before_execution() {
 fn standard_pipeline_covers_the_case_study() {
     let (model, top) = case_study::ssam_model();
     let hazards = case_study::hazard_log();
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let input = PipelineInput::for_model(&model, top).with_hazards(&hazards);
     let run = engine.run_pipeline(&Pipeline::standard(false), &input).expect("pipeline");
 
@@ -172,7 +172,7 @@ fn standard_pipeline_covers_the_case_study() {
 #[test]
 fn warm_pipeline_after_edit_verifies_against_cold() {
     let (model, top) = case_study::ssam_model();
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let pipeline = Pipeline::standard(false);
     engine.run_pipeline(&pipeline, &PipelineInput::for_model(&model, top)).expect("priming run");
 
@@ -220,12 +220,12 @@ proptest! {
         let config = InjectionConfig::default();
         let trials = 8;
 
-        let mut reference = Engine::new(EngineConfig::with_jobs(1));
+        let mut reference = Engine::builder().jobs(1).build().expect("engine builds");
         let baseline = reference
             .analyze_montecarlo(&diagram, &db, &config, trials, seed)
             .expect("single-worker reference run");
 
-        let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+        let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
         let cold = engine
             .analyze_montecarlo(&diagram, &db, &config, trials, seed)
             .expect("cold run");
@@ -248,7 +248,7 @@ fn montecarlo_ci_half_widths_shrink_with_trial_count() {
     let (diagram, _) = gallery::brownout_threshold_supply();
     let db = brownout_db();
     let config = InjectionConfig::default();
-    let mut engine = Engine::new(EngineConfig::with_jobs(4));
+    let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
 
     let reports: Vec<_> = [64usize, 256, 1024]
         .iter()
@@ -283,7 +283,7 @@ fn montecarlo_ci_half_widths_shrink_with_trial_count() {
 fn recommend_pass_reaches_asil_b_on_the_gallery_model() {
     let (diagram, _) = gallery::sensor_power_supply();
     let db = ReliabilityDb::paper_table_ii();
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let input =
         PipelineInput::for_diagram(&diagram, &db).with_injection_config(InjectionConfig::default());
     let pipeline = Pipeline::new().with(InjectionFmeaPass).with(RecommendPass::default());
@@ -315,13 +315,13 @@ fn montecarlo_pass_runs_inside_a_pipeline() {
         .with_injection_config(InjectionConfig::default())
         .with_trials(16)
         .with_seed(42);
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let run = engine
         .run_pipeline(&Pipeline::new().with(MonteCarloPass), &input)
         .expect("montecarlo pipeline");
     let via_pipeline = run.montecarlo().expect("montecarlo artefact").clone();
 
-    let mut direct = Engine::new(EngineConfig::with_jobs(2));
+    let mut direct = Engine::builder().jobs(2).build().expect("engine builds");
     let via_wrapper = direct
         .analyze_montecarlo(&diagram, &db, &InjectionConfig::default(), 16, 42)
         .expect("wrapper run");

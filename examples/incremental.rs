@@ -8,13 +8,13 @@
 //! ```
 
 use decisive::core::case_study;
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::Engine;
 use decisive::ssam::architecture::Fit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 1: a cold analysis fills the content-addressed cache.
     let (model, top) = case_study::ssam_model();
-    let mut engine = Engine::new(EngineConfig::with_jobs(4));
+    let mut engine = Engine::builder().jobs(4).build().expect("engine builds");
     let table = engine.analyze_graph(&model, top)?;
     println!("cold analysis: {} rows, SPFM {:.2}%", table.rows.len(), table.spfm() * 100.0);
     print!("{}", engine.stats().render());

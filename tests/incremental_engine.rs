@@ -1,13 +1,14 @@
 //! End-to-end tests of the incremental analysis engine (`decisive-engine`):
-//! cache persistence across engine instances, the incremental ≡ full
-//! guarantee, the <10 % re-run bound on single-component edits at Set3
-//! scale, and parallel/sequential result identity.
+//! cache persistence across engine instances through a cache directory,
+//! the incremental ≡ full guarantee, the <10 % re-run bound on
+//! single-component edits at Set3 scale, and parallel/sequential result
+//! identity.
 
 use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
 use decisive::core::{case_study, metrics};
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::Engine;
 use decisive::ssam::architecture::Fit;
 use decisive::workload::sets::{chain_model, ladder_model};
 
@@ -41,13 +42,12 @@ fn cache_persists_across_engine_instances() {
     let dir = TempCacheDir::new("persist");
     let (model, top) = case_study::ssam_model();
 
-    let mut first = Engine::new(EngineConfig::with_jobs(2));
+    let mut first = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("open");
     let cold = first.analyze_graph(&model, top).expect("cold analysis");
     assert!(first.stats().cache_hits() == 0, "first run starts cold");
-    first.save_cache(dir.path()).expect("save");
+    drop(first);
 
-    let mut second = Engine::new(EngineConfig::with_jobs(2));
-    second.load_cache(dir.path()).expect("load");
+    let mut second = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("reopen");
     let warm = second.verify_against_full(&model, top).expect("verified warm analysis");
     assert_eq!(warm, cold);
     let rows = second.stats().phase("graph-rows").expect("rows phase");
@@ -65,7 +65,7 @@ fn set3_single_edit_reruns_under_ten_percent_of_jobs() {
     let edited = new_model.component_by_name("c948").expect("mid-chain component");
     new_model.components[edited].fit = Some(Fit::new(99.0));
 
-    let mut engine = Engine::new(EngineConfig::default());
+    let mut engine = Engine::builder().build().expect("engine builds");
     engine.analyze_graph(&old_model, old_top).expect("baseline analysis");
     engine.reset_stats();
 
@@ -89,7 +89,7 @@ fn parallel_and_sequential_schedules_agree() {
     let (model, top) = ladder_model(3, 4);
     let reference = graph::run(&model, top, &GraphConfig::default()).expect("reference");
     for jobs in [1, 4] {
-        let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
+        let mut engine = Engine::builder().jobs(jobs).build().expect("engine builds");
         let table = engine.analyze_graph(&model, top).expect("engine analysis");
         assert_eq!(table, reference, "{jobs}-worker schedule diverged");
     }
@@ -105,7 +105,7 @@ fn injection_rows_cache_and_match_direct_run() {
     let config = InjectionConfig::default();
     let direct = injection::run(&diagram, &db, &config).expect("direct run");
 
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let cold = engine.analyze_injection(&diagram, &db, &config).expect("cold");
     assert_eq!(cold, direct);
     let warm = engine.analyze_injection(&diagram, &db, &config).expect("warm");
@@ -120,9 +120,9 @@ fn injection_rows_cache_and_match_direct_run() {
     assert!((md.spfm - mw.spfm).abs() < 1e-12);
 }
 
-/// Campaign health covers cache hits and misses alike: a warm engine that
-/// simulates nothing still reports the full outcome classification, and
-/// the report itself is persisted next to the cache and restored on load.
+/// Campaign health covers cache hits and misses alike: a second engine
+/// over the same cache directory simulates nothing and still reports the
+/// full outcome classification, rebuilt from the cached row outcomes.
 #[test]
 fn campaign_health_survives_cache_round_trips() {
     let dir = TempCacheDir::new("campaign");
@@ -130,17 +130,14 @@ fn campaign_health_survives_cache_round_trips() {
     let db = ReliabilityDb::paper_table_ii();
     let config = InjectionConfig::default();
 
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("open");
     engine.analyze_injection(&diagram, &db, &config).expect("cold");
     let cold_health = engine.campaign_health().expect("cold health").clone();
     assert_eq!(cold_health.total, 9);
     assert_eq!(cold_health.unsolvable + cold_health.panicked, 0, "healthy design");
-    engine.save_cache(dir.path()).expect("save");
-    assert!(dir.path().join(decisive::engine::CAMPAIGN_FILE).exists());
+    drop(engine);
 
-    let mut warm = Engine::new(EngineConfig::with_jobs(2));
-    warm.load_cache(dir.path()).expect("load");
-    assert_eq!(warm.campaign_health(), Some(&cold_health), "health restored from disk");
+    let mut warm = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("reopen");
     warm.analyze_injection(&diagram, &db, &config).expect("warm");
     let phase = warm.stats().phase("injection-rows").expect("phase");
     assert_eq!(phase.cache_misses, 0, "warm pass simulates nothing");
@@ -148,6 +145,33 @@ fn campaign_health_survives_cache_round_trips() {
     assert_eq!(warm_health.total, cold_health.total);
     assert_eq!(warm_health.converged, cold_health.converged);
     assert_eq!(warm_health.strategy_histogram, cold_health.strategy_histogram);
+}
+
+/// A run's report depends only on the current design: a graph-only
+/// analysis over a cache directory an injection campaign once filled
+/// reports no campaign, exactly as it would without the cache — even when
+/// the directory still holds the `campaign.json` side file that earlier
+/// releases wrote next to the cache.
+#[test]
+fn graph_analysis_over_a_campaign_cache_reports_no_campaign() {
+    use decisive::federation::{json, serde_bridge};
+
+    let dir = TempCacheDir::new("stale-health");
+    let (diagram, _) = decisive::blocks::gallery::sensor_power_supply();
+    let mut campaign = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("open");
+    campaign
+        .analyze_injection(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default())
+        .expect("campaign");
+    let health = campaign.campaign_health().expect("campaign health");
+    let side_file = serde_bridge::to_value(health).expect("health serialises");
+    std::fs::write(dir.path().join("campaign.json"), json::to_string(&side_file)).expect("write");
+    drop(campaign);
+
+    let (model, top) = case_study::ssam_model();
+    let mut graph_only = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("reopen");
+    assert_eq!(graph_only.campaign_health(), None, "nothing is restored at open");
+    graph_only.analyze_graph(&model, top).expect("graph analysis");
+    assert_eq!(graph_only.campaign_health(), None, "no campaign ran in this engine");
 }
 
 /// The campaign circuit breaker trips through the engine path too: a
@@ -171,7 +195,7 @@ fn engine_campaign_breaker_trips_on_starved_budget() {
         },
         ..InjectionConfig::default()
     };
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
     let err = engine.analyze_injection(&diagram, &db, &config).expect_err("breaker");
     assert!(
         matches!(err, EngineError::Core(CoreError::CampaignAborted { total: 9, .. })),
@@ -182,21 +206,22 @@ fn engine_campaign_breaker_trips_on_starved_budget() {
     assert!(!health.failed_cases.is_empty());
 }
 
-/// A poisoned persisted cache (corrupt JSON) is quarantined and the run
-/// proceeds cold — the corruption is reported through the degraded-mode
-/// channel instead of aborting the analysis.
+/// A poisoned legacy cache (corrupt JSON) awaiting migration is
+/// quarantined and the run proceeds cold — the corruption is reported
+/// through the degraded-mode channel instead of aborting the analysis.
 #[test]
 fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
     let dir = TempCacheDir::new("corrupt");
     std::fs::create_dir_all(dir.path()).expect("mkdir");
     std::fs::write(dir.path().join("cache.json"), "{not json").expect("write");
-    let mut engine = Engine::new(EngineConfig::with_jobs(1));
-    engine.load_cache(dir.path()).expect("corruption is not fatal");
-    assert!(engine.cache().is_empty(), "corrupt cache loads cold");
+    let mut engine =
+        Engine::builder().jobs(1).cache_dir(dir.path()).build().expect("corruption is not fatal");
+    assert!(engine.shared_store().is_some_and(|s| s.is_empty()), "corrupt cache loads cold");
     assert_eq!(engine.degraded_report().quarantined_cache_entries, 1);
     assert!(engine.degraded_report().is_degraded());
-    assert!(
-        dir.path().join("cache.quarantine.json").exists(),
+    assert_eq!(
+        std::fs::read_to_string(dir.path().join("cache.quarantine.json")).expect("quarantined"),
+        "{not json",
         "corrupt bytes are preserved for post-mortem"
     );
     // The analysis itself still runs and verifies against a from-scratch

@@ -9,7 +9,7 @@ use decisive::core::mechanism::{
     search, DeployedMechanism, Deployment, MechanismCatalog, MechanismSpec,
 };
 use decisive::core::metrics;
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::Engine;
 use decisive::federation::{csv, json, Value};
 use decisive::fta::{build_fault_tree, fmea_from_fault_tree};
 use decisive::ssam::architecture::{Component, ComponentKind, Coverage, FailureNature, Fit};
@@ -409,7 +409,7 @@ proptest! {
         }
         let (new_model, new_top) = materialize_chain(&specs);
 
-        let mut engine = Engine::new(EngineConfig::with_jobs(2));
+        let mut engine = Engine::builder().jobs(2).build().expect("engine builds");
         engine.analyze_graph(&old_model, old_top).expect("baseline analysis");
         let (incremental, _report) =
             engine.rerun(&old_model, &new_model, new_top).expect("incremental rerun");

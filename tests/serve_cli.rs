@@ -150,6 +150,48 @@ fn served_pipeline_matches_cli_json_output() {
     assert_eq!(strip_timing(served), strip_timing(cli), "wire protocol IS the CLI JSON output");
 }
 
+/// A run's report depends only on the current design: a graph-only
+/// `analyze` over a cache directory that a `.bd` pipeline filled prints
+/// exactly what the uncached run prints — `campaign: null` included — and
+/// leaves nothing in the directory but the store.
+#[test]
+fn graph_analyze_over_a_pipeline_cache_matches_the_uncached_run() {
+    let dir = scratch("stale-health");
+    let cache = dir.join("cache");
+    std::fs::remove_dir_all(&cache).ok();
+    let model = dir.join("model.json");
+    let (cache_arg, model_arg) = (cache.display().to_string(), model.display().to_string());
+    let design_arg = data("power_supply.bd").display().to_string();
+    let ok = |args: &[&str]| {
+        let out = run(args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
+    };
+    ok(&["import", &design_arg, &model_arg]);
+    ok(&["pipeline", &design_arg, "--cache", &cache_arg]);
+
+    let uncached = ok(&["analyze", &model_arg, "--format", "json"]);
+    let cached = ok(&["analyze", &model_arg, "--cache", &cache_arg, "--format", "json"]);
+    let uncached = json::parse(uncached.trim()).expect("uncached JSON parses");
+    let cached = json::parse(cached.trim()).expect("cached JSON parses");
+    assert_eq!(cached.get("campaign"), Some(&Value::Null), "no campaign ran in this analysis");
+    assert_eq!(strip_timing(cached), strip_timing(uncached), "the cache changes no reported field");
+    ok(&["analyze", &model_arg, "--cache", &cache_arg, "--strict"]);
+
+    let mut left: Vec<String> = std::fs::read_dir(&cache)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["store"], "the store is the cache directory's only content");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// SIGINT mid-serve still flushes a valid trace file and exits through
 /// the normal persist path.
 #[test]
